@@ -1,7 +1,7 @@
 //! Sharded-pipeline scaling: the n × shards construction grid, cross-shard
-//! serving over boundary-targeted traffic, the shards=4 vs shards=1
-//! wall-time gate at n ≥ 10⁵, and the per-shard peak-memory bound at fixed
-//! n/k.
+//! serving over boundary-targeted traffic with the boundary-skeleton clamp
+//! off and on, the shards=4 vs shards=1 wall-time gate at n ≥ 10⁵, and the
+//! per-shard peak-memory bound at fixed n/k.
 //!
 //! The instances are jittered grids: generation is `O(n)`, partitions have
 //! `O(√n)` cuts, and at stretch 3 the greedy construction does real pruning
@@ -10,13 +10,16 @@
 //! searches and their working sets small). Before timing anything the bench
 //! asserts the sharded determinism contract: the build artifact is
 //! bit-identical across thread counts and serving answers are bit-identical
-//! across serve-shard counts.
+//! with the skeleton clamp on and off.
 //!
 //! CI smokes this bench at `SPANNER_THREADS` 1, 2 and 8 and archives the
 //! JSON summary (`BENCH_JSON`) as `bench-sharding.jsonl`; the
 //! `sharded_speedup` line printed below records the measured shards=4 /
 //! shards=1 ratio directly, so the artifact carries it even when per-bench
-//! samples are noisy.
+//! samples are noisy. The `sharded_serving_settled` lines record the
+//! vertices the serving engines settled on one cold pass of the boundary
+//! batch with the clamp off and on, and how many bounds the clamp
+//! tightened.
 //!
 //! Run with `cargo bench --bench sharded_scaling`.
 
@@ -51,8 +54,8 @@ fn build(g: &WeightedGraph, shards: usize) -> ShardedOutput {
 }
 
 /// The determinism contract the numbers below are published under: the
-/// build artifact is a function of (graph, shards, seed) alone, and every
-/// serve-shard count answers bit-identically to the plain server.
+/// build artifact is a function of (graph, shards, seed) alone, and the
+/// clamp-on server answers bit-identically to the plain (clamp-off) one.
 fn assert_sharded_determinism() {
     let g = grid(50, 50);
     let reference = ShardedSpanner::greedy()
@@ -80,18 +83,12 @@ fn assert_sharded_determinism() {
         .seed(9)
         .bound(4.0 * STRETCH)
         .generate();
-    let mut plain = reference.output.clone().serve().finish();
-    let expected = plain.answer_batch(&queries).expect("valid batch");
-    for serve_shards in SHARD_COUNTS {
-        let mut server = reference
-            .clone()
-            .serve()
-            .serve_shards(serve_shards)
-            .finish();
-        let cold = server.answer_batch(&queries).expect("valid batch");
-        let warm = server.answer_batch(&queries).expect("valid batch");
-        assert_eq!(cold, expected, "serve_shards={serve_shards}");
-        assert_eq!(warm, expected, "warm, serve_shards={serve_shards}");
+    let mut clamp_off = reference.output.clone().serve().finish();
+    let mut clamp_on = reference.serve().finish();
+    for round in ["cold", "warm"] {
+        let expected = clamp_off.answer_batch(&queries).expect("valid batch");
+        let clamped = clamp_on.answer_batch(&queries).expect("valid batch");
+        assert_eq!(clamped, expected, "{round}: the clamp changed an answer");
     }
 }
 
@@ -115,7 +112,7 @@ fn bench_sharded(c: &mut Criterion) {
     group.finish();
 
     // Serving: boundary-targeted distance traffic (every query crosses
-    // shards) through the sharded server at several serve-shard counts.
+    // shards) with the skeleton clamp off and on, over the same batch.
     let g = grid(100, 100);
     let out = build(&g, 4);
     let boundary: Vec<VertexId> = (0..out.skeleton.num_vertices())
@@ -129,10 +126,18 @@ fn bench_sharded(c: &mut Criterion) {
         .generate();
     let mut serve_group = c.benchmark_group("sharded_serving");
     serve_group.sample_size(10);
-    for serve_shards in SHARD_COUNTS {
-        let mut server = out.clone().serve().serve_shards(serve_shards).finish();
+    for (clamp, mut server) in [
+        ("clamp_off", out.output.clone().serve().finish()),
+        ("clamp_on", out.clone().serve().finish()),
+    ] {
         server.answer_batch(&queries).expect("warms the caches");
-        serve_group.bench_function(BenchmarkId::new("boundary_batch", serve_shards), |b| {
+        println!(
+            "sharded_serving_settled: {clamp} settled {} clamps {} ({} queries, one cold pass)",
+            server.engine_stats().settled_vertices,
+            server.stats().skeleton_clamps,
+            queries.len()
+        );
+        serve_group.bench_function(BenchmarkId::new("boundary_batch", clamp), |b| {
             b.iter(|| server.answer_batch(&queries).expect("valid batch").len())
         });
     }

@@ -296,14 +296,9 @@ impl InflightGauge {
 /// The runtime's admission limiter: a pluggable [`LimitAlgorithm`] behind a
 /// shared [`InflightGauge`], fed from a [`WindowedHistogram`] of recent
 /// per-query latencies.
-///
-/// The `unlimited` construction is what the compatibility shims run on: it
-/// never sheds, never splits, and skips latency bookkeeping entirely, so
-/// `answer_batch` through an unlimited router costs the same as the
-/// pre-runtime path it replaced.
 #[derive(Debug)]
 pub struct Limiter {
-    algorithm: Option<Box<dyn LimitAlgorithm>>,
+    algorithm: Box<dyn LimitAlgorithm>,
     gauge: InflightGauge,
     window: WindowedHistogram,
 }
@@ -327,17 +322,7 @@ impl Limiter {
     /// A limiter driven by any boxed [`LimitAlgorithm`].
     pub fn from_algorithm(algorithm: Box<dyn LimitAlgorithm>) -> Self {
         Limiter {
-            algorithm: Some(algorithm),
-            gauge: InflightGauge::default(),
-            window: WindowedHistogram::default(),
-        }
-    }
-
-    /// No limit at all: infinite knee, whole-batch dispatch, no latency
-    /// bookkeeping — the pre-runtime serving behavior.
-    pub fn unlimited() -> Self {
-        Limiter {
-            algorithm: None,
+            algorithm,
             gauge: InflightGauge::default(),
             window: WindowedHistogram::default(),
         }
@@ -349,30 +334,19 @@ impl Limiter {
         self
     }
 
-    /// Is this the unlimited construction?
-    pub fn is_unlimited(&self) -> bool {
-        self.algorithm.is_none()
-    }
-
-    /// The current limit in work units (`usize::MAX` when unlimited).
+    /// The current limit in work units.
     pub fn limit(&self) -> usize {
-        match &self.algorithm {
-            Some(algorithm) => algorithm.limit(),
-            None => usize::MAX,
-        }
+        self.algorithm.limit()
     }
 
     /// Records a dispatched chunk: `units` queries at `per_query` mean
     /// service latency with `queued` units still waiting. Updates the
     /// window, then the algorithm.
     pub fn observe(&mut self, per_query: Duration, units: usize, queued: usize) {
-        let Some(algorithm) = self.algorithm.as_mut() else {
-            return;
-        };
         for _ in 0..units {
             self.window.record(per_query);
         }
-        algorithm.on_sample(
+        self.algorithm.on_sample(
             LimitSample {
                 per_query,
                 units,
@@ -385,10 +359,7 @@ impl Limiter {
 
     /// Records a shed batch (no latency — the work never ran).
     pub fn observe_shed(&mut self, units: usize, queued: usize) {
-        let Some(algorithm) = self.algorithm.as_mut() else {
-            return;
-        };
-        algorithm.on_sample(
+        self.algorithm.on_sample(
             LimitSample {
                 per_query: Duration::ZERO,
                 units,
@@ -523,7 +494,6 @@ mod tests {
     #[test]
     fn limiter_facade_and_gauge() {
         let mut limiter = Limiter::aimd(AimdLimit::new(4)).with_window(2, 4);
-        assert!(!limiter.is_unlimited());
         assert_eq!(limiter.limit(), 4);
         limiter.gauge_mut().acquire(3);
         assert_eq!(limiter.gauge().current(), 3);
@@ -532,16 +502,6 @@ mod tests {
         assert_eq!(limiter.gauge().peak(), 3);
         limiter.observe(Duration::from_micros(50), 4, 0);
         assert_eq!(limiter.window().total(), 4);
-
-        let mut unlimited = Limiter::unlimited();
-        assert!(unlimited.is_unlimited());
-        assert_eq!(unlimited.limit(), usize::MAX);
-        unlimited.observe(Duration::from_micros(50), 4, 0);
-        assert_eq!(
-            unlimited.window().total(),
-            0,
-            "unlimited skips latency bookkeeping"
-        );
         let fixed = Limiter::fixed(7);
         assert_eq!(fixed.limit(), 7);
         assert_eq!(FixedLimit::new(0).limit(), 1, "fixed clamps to 1");

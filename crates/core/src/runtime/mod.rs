@@ -1,20 +1,21 @@
-//! The unified serving runtime: one QoS-classed scheduler with adaptive
-//! admission control in front of every server shape.
+//! The serving runtime: one QoS-classed scheduler with adaptive admission
+//! control in front of a [`SpannerServer`](crate::serve::SpannerServer).
 //!
-//! Before this module, `SpannerServer`, live serving, and `ShardedServer`
-//! were three parallel frontends that answered any batch thrown at them —
-//! no backpressure, no prioritization, no overload behavior. The runtime
-//! factors serving into three pieces:
+//! A server answers any batch handed to it directly
+//! ([`SpannerServer::answer_batch`](crate::serve::SpannerServer::answer_batch));
+//! the runtime adds backpressure, prioritization and overload behavior on
+//! top, in three pieces:
 //!
-//! * [`Backend`] — the trait the three servers implement: validate a batch,
-//!   dispatch it (the pre-runtime unlimited path, bit-identical at every
-//!   thread count), report engine occupancy.
+//! * [`Backend`] — what the router fronts: validate a batch, dispatch it
+//!   (the server's direct path, bit-identical at every thread count),
+//!   report engine occupancy. Frozen, live and sharded-build servers are
+//!   all one [`SpannerServer`](crate::serve::SpannerServer) type.
 //! * [`Router`] — the front door. [`Router::submit`] classifies work into
 //!   per-[`QosClass`] FIFO queues (interactive point queries preempt bulk
 //!   sweeps), acquires budget from a dynamic concurrency limiter before
 //!   dispatch, splits oversized batches into limit-sized chunks, and sheds
 //!   past the knee with [`ServeError::Overloaded`] carrying a
-//!   `retry_after_hint`.
+//!   `retry_after_hint`. [`RouterStats`] is the admission ledger.
 //! * [`Limiter`] ([`limit`]) — pluggable [`AimdLimit`] / [`GradientLimit`]
 //!   algorithms behind a shared inflight gauge, fed windowed latency
 //!   quantiles ([`WindowedHistogram`]), deterministic under the seeded
@@ -24,11 +25,11 @@
 //! standing guarantee that answers are a pure function of the query and the
 //! served spanner — never of batch boundaries, cache state, or thread
 //! count. Admitted answers through any router configuration are therefore
-//! bit-identical to the unlimited path; admission only decides *whether and
-//! when* a batch runs, not what it answers. Shed decisions depend only on
-//! the workload, the limiter parameters, and the clock — under a virtual
-//! clock they are bit-reproducible across machines and thread counts
-//! (`tests/admission_determinism.rs`).
+//! bit-identical to calling `answer_batch` directly; admission only decides
+//! *whether and when* a batch runs, not what it answers. Shed decisions
+//! depend only on the workload, the limiter parameters, and the clock —
+//! under a virtual clock they are bit-reproducible across machines and
+//! thread counts (`tests/admission_determinism.rs`).
 //!
 //! ```
 //! use greedy_spanner::runtime::{QosClass, Router};
@@ -112,16 +113,15 @@ impl QosClass {
     }
 }
 
-/// A query-serving backend the [`Router`] can front: the three server
-/// shapes (frozen [`SpannerServer`](crate::serve::SpannerServer), live
-/// servers, [`ShardedServer`](crate::shard::ShardedServer)) implement it.
+/// A query-serving backend the [`Router`] can front, implemented by
+/// [`SpannerServer`](crate::serve::SpannerServer).
 ///
-/// `dispatch` is the *unlimited* path — the exact pre-runtime
-/// `answer_batch` semantics, whole-batch, bit-identical at every thread
-/// count. The router builds every admission behavior on top of it.
+/// `dispatch` is the direct path — whole-batch, no admission control,
+/// bit-identical at every thread count. The router builds every admission
+/// behavior on top of it.
 pub trait Backend {
     /// Checks a batch without running anything: a batch either passes whole
-    /// or is rejected whole, exactly like the unlimited path's up-front
+    /// or is rejected whole, exactly like the direct path's up-front
     /// validation.
     fn validate_batch(&self, queries: &[Query]) -> Result<(), ServeError>;
 
@@ -191,10 +191,19 @@ const DEFAULT_RETRY_PER_QUERY: Duration = Duration::from_micros(100);
 /// queued.
 const DEFAULT_SHED_FACTOR: f64 = 2.0;
 
-/// The router's engine, decoupled from backend ownership so the serving
-/// shims (which *are* backends) can drive one over `&mut self`.
+/// The serving front door: a [`Backend`] behind per-class scheduling
+/// queues and an admission [`Limiter`], built with [`Router::over`].
+///
+/// Two interaction styles:
+///
+/// * **Blocking** — [`Router::submit`] runs a batch to completion (waiting
+///   its turn behind queued work of equal or higher priority) or sheds it.
+/// * **Open-loop** — [`Router::offer`] enqueues, [`Router::poll`] /
+///   [`Router::poll_until`] dispatch, [`Router::collect`] redeems tickets;
+///   this is how overload simulations and the bench drive it.
 #[derive(Debug)]
-pub(crate) struct RouterCore {
+pub struct Router<B: Backend> {
+    backend: B,
     limiter: Limiter,
     clock: ServeClock,
     /// One FIFO per [`QosClass`], indexed by [`QosClass::index`].
@@ -202,85 +211,57 @@ pub(crate) struct RouterCore {
     completed: BTreeMap<u64, Result<Vec<Answer>, ServeError>>,
     next_ticket: u64,
     shed_factor: f64,
-    /// Strict arrival-order dispatch (no class preemption) — the
-    /// "limiter off" baseline and the shims' compatibility mode.
+    /// Strict arrival-order dispatch (no class preemption) — the "no QoS"
+    /// baseline.
     fifo: bool,
     queued_units: usize,
     stats: RouterStats,
 }
 
-impl RouterCore {
-    pub(crate) fn new(limiter: Limiter, clock: ServeClock, shed_factor: f64, fifo: bool) -> Self {
-        let shed_factor = if shed_factor.is_finite() {
-            shed_factor.max(1.0)
-        } else {
-            f64::INFINITY
-        };
-        RouterCore {
-            limiter,
-            clock,
-            queues: [VecDeque::new(), VecDeque::new()],
-            completed: BTreeMap::new(),
-            next_ticket: 0,
-            shed_factor,
-            fifo,
-            queued_units: 0,
-            stats: RouterStats::default(),
+impl<B: Backend> Router<B> {
+    /// Starts building a router over `backend`; the default configuration
+    /// is an AIMD limiter, a real clock, and the standard shed knee.
+    pub fn over(backend: B) -> RouterBuilder<B> {
+        RouterBuilder {
+            backend,
+            limiter: Limiter::aimd(AimdLimit::new(64)),
+            clock: ServeClock::real(),
+            shed_factor: DEFAULT_SHED_FACTOR,
+            fifo: false,
         }
     }
 
-    /// The shims' configuration: no limit, no shedding, strict arrival
-    /// order, real clock — behaviorally the pre-runtime path.
-    pub(crate) fn unlimited() -> Self {
-        RouterCore::new(
-            Limiter::unlimited(),
-            ServeClock::real(),
-            f64::INFINITY,
-            true,
-        )
-    }
-
-    pub(crate) fn stats(&self) -> &RouterStats {
-        &self.stats
-    }
-
-    pub(crate) fn limit(&self) -> usize {
-        self.limiter.limit()
-    }
-
-    pub(crate) fn window(&self) -> &WindowedHistogram {
-        self.limiter.window()
-    }
-
-    pub(crate) fn queued_units(&self) -> usize {
-        self.queued_units
-    }
-
-    pub(crate) fn now(&self) -> Duration {
-        self.clock.now()
-    }
-
-    pub(crate) fn advance_to(&mut self, at: Duration) {
-        self.clock.advance_to(at);
-    }
-
-    fn retry_hint(&self, units: usize) -> Duration {
-        let per = self
-            .limiter
-            .window()
-            .p50()
-            .unwrap_or(DEFAULT_RETRY_PER_QUERY);
-        let backlog = (self.queued_units + units) as u32;
-        per.saturating_mul(backlog)
-    }
-
-    pub(crate) fn offer(
+    /// Submits a batch and blocks until it is answered or shed.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Overloaded`] when admission sheds the batch; any
+    /// backend validation/dispatch error otherwise. Shed batches run no
+    /// query.
+    pub fn submit(
         &mut self,
-        backend: &mut dyn Backend,
         class: QosClass,
         queries: &[Query],
-    ) -> Result<Ticket, ServeError> {
-        backend.validate_batch(queries)?;
+    ) -> Result<Vec<Answer>, ServeError> {
+        let ticket = self.offer(class, queries)?;
+        loop {
+            if let Some(result) = self.collect(ticket) {
+                return result;
+            }
+            // The ticket is still queued, so the queues are non-empty and
+            // `step` always consumes at least one unit — progress is
+            // guaranteed.
+            self.step();
+        }
+    }
+
+    /// Enqueues a batch without dispatching it, returning a [`Ticket`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Router::submit`], decided at offer time.
+    pub fn offer(&mut self, class: QosClass, queries: &[Query]) -> Result<Ticket, ServeError> {
+        self.backend.validate_batch(queries)?;
         let units = queries.len();
         let ticket = self.next_ticket;
         if units == 0 {
@@ -289,15 +270,13 @@ impl RouterCore {
             self.completed.insert(ticket, Ok(Vec::new()));
             return Ok(Ticket(ticket));
         }
-        if !self.limiter.is_unlimited() {
-            let knee = (self.limiter.limit() as f64 * self.shed_factor) as usize;
-            if self.queued_units + units > knee.max(1) {
-                self.stats.shed += units as u64;
-                self.limiter.observe_shed(units, self.queued_units);
-                return Err(ServeError::Overloaded {
-                    retry_after_hint: self.retry_hint(units),
-                });
-            }
+        let knee = (self.limiter.limit() as f64 * self.shed_factor) as usize;
+        if self.queued_units + units > knee.max(1) {
+            self.stats.shed += units as u64;
+            self.limiter.observe_shed(units, self.queued_units);
+            return Err(ServeError::Overloaded {
+                retry_after_hint: self.retry_hint(units),
+            });
         }
         self.next_ticket += 1;
         self.stats.admitted += units as u64;
@@ -315,6 +294,101 @@ impl RouterCore {
             arrived: self.clock.now(),
         });
         Ok(Ticket(ticket))
+    }
+
+    /// Redeems a completed ticket: `None` while still queued, the batch's
+    /// result once dispatched (each ticket redeems once).
+    pub fn collect(&mut self, ticket: Ticket) -> Option<Result<Vec<Answer>, ServeError>> {
+        self.completed.remove(&ticket.0)
+    }
+
+    /// Dispatches up to one limit's worth of queued work; returns the units
+    /// consumed.
+    pub fn poll(&mut self) -> usize {
+        let budget = self.limiter.limit().max(1);
+        let mut done = 0;
+        while done < budget && self.queued_units > 0 {
+            done += self.step();
+        }
+        done
+    }
+
+    /// Dispatches queued work until the clock reaches `deadline` (measured
+    /// from the clock origin) or the queues empty — the main loop of
+    /// open-loop simulations, where work must not run ahead of the next
+    /// arrival.
+    pub fn poll_until(&mut self, deadline: Duration) -> usize {
+        let mut done = 0;
+        while self.queued_units > 0 && self.clock.now() < deadline {
+            done += self.step();
+        }
+        done
+    }
+
+    /// Dispatches everything currently queued.
+    pub fn drain(&mut self) -> usize {
+        let mut done = 0;
+        while self.queued_units > 0 {
+            done += self.step();
+        }
+        done
+    }
+
+    /// Declares an arrival instant to a virtual clock (no-op on a real
+    /// clock).
+    pub fn advance_to(&mut self, at: Duration) {
+        self.clock.advance_to(at);
+    }
+
+    /// Current clock reading, relative to the clock origin.
+    pub fn now(&self) -> Duration {
+        self.clock.now()
+    }
+
+    /// The limiter's current limit, in work units.
+    pub fn limit(&self) -> usize {
+        self.limiter.limit()
+    }
+
+    /// Work units currently queued.
+    pub fn queued_units(&self) -> usize {
+        self.queued_units
+    }
+
+    /// Admission counters and per-class latency views.
+    pub fn stats(&self) -> &RouterStats {
+        &self.stats
+    }
+
+    /// The windowed latency view feeding the limiter.
+    pub fn window(&self) -> &WindowedHistogram {
+        self.limiter.window()
+    }
+
+    /// The fronted backend.
+    pub fn backend(&self) -> &B {
+        &self.backend
+    }
+
+    /// Mutable access to the fronted backend (e.g. to apply live updates
+    /// between batches).
+    pub fn backend_mut(&mut self) -> &mut B {
+        &mut self.backend
+    }
+
+    /// Unwraps the router, returning the backend.
+    pub fn into_backend(self) -> B {
+        self.backend
+    }
+
+    fn retry_hint(&self, units: usize) -> Duration {
+        let per = self
+            .limiter
+            .window()
+            .p50()
+            .unwrap_or(DEFAULT_RETRY_PER_QUERY);
+        let backlog = (self.queued_units + units) as u32;
+        per.saturating_mul(backlog)
     }
 
     /// Which queue the next chunk comes from: interactive preempts bulk,
@@ -336,7 +410,7 @@ impl RouterCore {
 
     /// Dispatches one limit-sized chunk from the head of the scheduled
     /// queue; returns the work units it consumed (0 when idle).
-    pub(crate) fn step(&mut self, backend: &mut dyn Backend) -> usize {
+    fn step(&mut self) -> usize {
         let Some(qi) = self.next_queue() else {
             return 0;
         };
@@ -347,7 +421,7 @@ impl RouterCore {
         let wait = self.clock.now().saturating_sub(head.arrived);
         self.limiter.gauge_mut().acquire(take);
         let real_start = Instant::now();
-        let result = backend.dispatch(chunk);
+        let result = self.backend.dispatch(chunk);
         let service = self
             .clock
             .charge(chunk)
@@ -385,183 +459,6 @@ impl RouterCore {
             }
         }
     }
-
-    /// Dispatches up to one limit's worth of queued work; returns the units
-    /// consumed.
-    pub(crate) fn poll(&mut self, backend: &mut dyn Backend) -> usize {
-        let budget = self.limiter.limit().max(1);
-        let mut done = 0;
-        while done < budget && self.queued_units > 0 {
-            done += self.step(backend);
-        }
-        done
-    }
-
-    /// Dispatches queued work until the clock reaches `deadline` or the
-    /// queues empty — the driver loop of open-loop simulations, where work
-    /// must not run ahead of the next arrival.
-    pub(crate) fn poll_until(&mut self, backend: &mut dyn Backend, deadline: Duration) -> usize {
-        let mut done = 0;
-        while self.queued_units > 0 && self.clock.now() < deadline {
-            done += self.step(backend);
-        }
-        done
-    }
-
-    /// Dispatches everything currently queued.
-    pub(crate) fn drain(&mut self, backend: &mut dyn Backend) -> usize {
-        let mut done = 0;
-        while self.queued_units > 0 {
-            done += self.step(backend);
-        }
-        done
-    }
-
-    pub(crate) fn collect(&mut self, ticket: Ticket) -> Option<Result<Vec<Answer>, ServeError>> {
-        self.completed.remove(&ticket.0)
-    }
-
-    /// Offer + dispatch-to-completion: the blocking submission path.
-    pub(crate) fn submit(
-        &mut self,
-        backend: &mut dyn Backend,
-        class: QosClass,
-        queries: &[Query],
-    ) -> Result<Vec<Answer>, ServeError> {
-        let ticket = self.offer(backend, class, queries)?;
-        loop {
-            if let Some(result) = self.collect(ticket) {
-                return result;
-            }
-            // The ticket is still queued, so the queues are non-empty and
-            // `step` always consumes at least one unit — progress is
-            // guaranteed.
-            self.step(backend);
-        }
-    }
-}
-
-/// The serving front door: a [`Backend`] plus a [`RouterCore`] scheduling
-/// queue, built with [`Router::over`].
-///
-/// Two interaction styles:
-///
-/// * **Blocking** — [`Router::submit`] runs a batch to completion (waiting
-///   its turn behind queued work of equal or higher priority) or sheds it.
-/// * **Open-loop** — [`Router::offer`] enqueues, [`Router::poll`] /
-///   [`Router::poll_until`] dispatch, [`Router::collect`] redeems tickets;
-///   this is how overload simulations and the bench drive it.
-#[derive(Debug)]
-pub struct Router<B: Backend> {
-    backend: B,
-    core: RouterCore,
-}
-
-impl<B: Backend> Router<B> {
-    /// Starts building a router over `backend`; the default configuration
-    /// is an AIMD limiter, a real clock, and the standard shed knee.
-    pub fn over(backend: B) -> RouterBuilder<B> {
-        RouterBuilder {
-            backend,
-            limiter: Limiter::aimd(AimdLimit::new(64)),
-            clock: ServeClock::real(),
-            shed_factor: DEFAULT_SHED_FACTOR,
-            fifo: false,
-        }
-    }
-
-    /// Submits a batch and blocks until it is answered or shed.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when admission sheds the batch; any
-    /// backend validation/dispatch error otherwise. Shed batches run no
-    /// query.
-    pub fn submit(
-        &mut self,
-        class: QosClass,
-        queries: &[Query],
-    ) -> Result<Vec<Answer>, ServeError> {
-        self.core.submit(&mut self.backend, class, queries)
-    }
-
-    /// Enqueues a batch without dispatching it, returning a [`Ticket`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Router::submit`], decided at offer time.
-    pub fn offer(&mut self, class: QosClass, queries: &[Query]) -> Result<Ticket, ServeError> {
-        self.core.offer(&mut self.backend, class, queries)
-    }
-
-    /// Redeems a completed ticket: `None` while still queued, the batch's
-    /// result once dispatched (each ticket redeems once).
-    pub fn collect(&mut self, ticket: Ticket) -> Option<Result<Vec<Answer>, ServeError>> {
-        self.core.collect(ticket)
-    }
-
-    /// Dispatches up to one limit's worth of queued work.
-    pub fn poll(&mut self) -> usize {
-        self.core.poll(&mut self.backend)
-    }
-
-    /// Dispatches queued work until the clock reaches `deadline` (measured
-    /// from the clock origin) or the queues empty.
-    pub fn poll_until(&mut self, deadline: Duration) -> usize {
-        self.core.poll_until(&mut self.backend, deadline)
-    }
-
-    /// Dispatches everything currently queued.
-    pub fn drain(&mut self) -> usize {
-        self.core.drain(&mut self.backend)
-    }
-
-    /// Declares an arrival instant to a virtual clock (no-op on a real
-    /// clock).
-    pub fn advance_to(&mut self, at: Duration) {
-        self.core.advance_to(at);
-    }
-
-    /// Current clock reading, relative to the clock origin.
-    pub fn now(&self) -> Duration {
-        self.core.now()
-    }
-
-    /// The limiter's current limit, in work units.
-    pub fn limit(&self) -> usize {
-        self.core.limit()
-    }
-
-    /// Work units currently queued.
-    pub fn queued_units(&self) -> usize {
-        self.core.queued_units()
-    }
-
-    /// Admission counters and per-class latency views.
-    pub fn stats(&self) -> &RouterStats {
-        self.core.stats()
-    }
-
-    /// The windowed latency view feeding the limiter.
-    pub fn window(&self) -> &WindowedHistogram {
-        self.core.window()
-    }
-
-    /// The fronted backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Mutable access to the fronted backend (e.g. to apply live updates
-    /// between batches).
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
-    /// Unwraps the router, returning the backend.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
 }
 
 /// Configures a [`Router`]; made by [`Router::over`].
@@ -576,7 +473,7 @@ pub struct RouterBuilder<B: Backend> {
 
 impl<B: Backend> RouterBuilder<B> {
     /// Replaces the limiter (see [`Limiter::aimd`], [`Limiter::gradient`],
-    /// [`Limiter::fixed`], [`Limiter::unlimited`]).
+    /// [`Limiter::fixed`]).
     pub fn limiter(mut self, limiter: Limiter) -> Self {
         self.limiter = limiter;
         self
@@ -606,9 +503,22 @@ impl<B: Backend> RouterBuilder<B> {
 
     /// Builds the router.
     pub fn finish(self) -> Router<B> {
+        let shed_factor = if self.shed_factor.is_finite() {
+            self.shed_factor.max(1.0)
+        } else {
+            f64::INFINITY
+        };
         Router {
             backend: self.backend,
-            core: RouterCore::new(self.limiter, self.clock, self.shed_factor, self.fifo),
+            limiter: self.limiter,
+            clock: self.clock,
+            queues: [VecDeque::new(), VecDeque::new()],
+            completed: BTreeMap::new(),
+            next_ticket: 0,
+            shed_factor,
+            fifo: self.fifo,
+            queued_units: 0,
+            stats: RouterStats::default(),
         }
     }
 }
@@ -690,23 +600,6 @@ mod tests {
         );
         assert_eq!(QosClass::of_batch(&[point(0), ball(1)]), QosClass::Bulk);
         assert_eq!(QosClass::of_batch(&[]), QosClass::Interactive);
-    }
-
-    #[test]
-    fn unlimited_router_passes_batches_through_whole() {
-        let mut router = Router::over(EchoBackend::default())
-            .limiter(Limiter::unlimited())
-            .fifo(true)
-            .finish();
-        let queries: Vec<Query> = (0..100).map(point).collect();
-        let answers = router.submit(QosClass::Interactive, &queries).unwrap();
-        assert_eq!(answers.len(), 100);
-        assert_eq!(router.backend().chunks, vec![100], "one whole chunk");
-        assert_eq!(router.stats().admitted, 100);
-        assert_eq!(router.stats().shed, 0);
-        assert_eq!(router.stats().queued, 0, "nothing waited");
-        // Empty batches answer empty without queueing.
-        assert!(router.submit(QosClass::Bulk, &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -799,6 +692,9 @@ mod tests {
         assert_eq!(err, ServeError::InvalidBound { bound: -1.0 });
         assert_eq!(router.stats().admitted, 0);
         assert_eq!(router.stats().shed, 0);
+        // Empty batches answer empty without queueing.
+        assert!(router.submit(QosClass::Bulk, &[]).unwrap().is_empty());
+        assert_eq!(router.queued_units(), 0);
     }
 
     #[test]

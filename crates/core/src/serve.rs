@@ -86,6 +86,17 @@
 //!   when rows are long enough to amortize staging or a live server has
 //!   pending deletions; [`ServeStats::kernel`] exposes the counters.
 //!
+//! # Sharded builds
+//!
+//! [`ShardedOutput::serve`] freezes the stitched spanner of a sharded build
+//! exactly like [`SpannerOutput::serve`] and attaches the build's
+//! [`BoundarySkeleton`] plus its shard assignment. Before a batch runs, a
+//! [`Query::Distance`] between boundary vertices of different shards has
+//! its bound clamped to the skeleton distance, which upper-bounds the
+//! spanner distance (every skeleton path is realizable in the spanner).
+//! The clamp therefore admits exactly the same answers;
+//! [`ServeStats::skeleton_clamps`] counts how often it fired.
+//!
 //! # Quick start
 //!
 //! ```
@@ -113,7 +124,7 @@ use spanner_graph::{
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
-use crate::runtime::{Backend, QosClass, RouterCore};
+use crate::runtime::Backend;
 use crate::shard::{BoundarySkeleton, ShardedOutput};
 use crate::update::{BatchOutcome, LiveSpanner, UpdateBatch, UpdateError, UpdateStats};
 
@@ -480,17 +491,9 @@ pub struct ServeStats {
     /// including idle gaps between batches — the denominator of
     /// [`ServeStats::lifetime_qps`].
     pub lifetime: Duration,
-    /// Queries accepted by admission control. Equal to `queries` on a
-    /// server driven through the compatibility shims; a
-    /// [`crate::runtime::Router`] with a real limiter may shed.
-    pub admitted: u64,
-    /// Queries refused with [`ServeError::Overloaded`].
-    pub shed: u64,
-    /// Admitted queries that waited behind a non-empty runtime queue.
-    pub queued: u64,
-    /// Summed per-query time between arrival and dispatch in the runtime
-    /// queues.
-    pub queue_wait: Duration,
+    /// Distance bounds clamped through a sharded build's boundary skeleton
+    /// (always 0 for servers not built by [`ShardedOutput::serve`]).
+    pub skeleton_clamps: u64,
     /// Per-query answer latencies.
     pub latency: LatencyHistogram,
     /// Batched relax-kernel counters aggregated across the server's engine
@@ -524,32 +527,6 @@ impl ServeStats {
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
-    /// Merges another server's statistics into this one — the per-shard
-    /// roll-up a [`ShardedServer`] reports. Counters add, `elapsed` adds
-    /// (total serving work across shards), `epoch` takes the maximum, and
-    /// the latency histograms merge exactly ([`LatencyHistogram::merge`]),
-    /// so merged quantiles equal the quantiles of one combined histogram.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.queries += other.queries;
-        self.batches += other.batches;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_insertions += other.cache_insertions;
-        self.cache_evictions += other.cache_evictions;
-        self.stale_evictions += other.stale_evictions;
-        self.epoch = self.epoch.max(other.epoch);
-        self.elapsed += other.elapsed;
-        // Replicas live side by side, so their lifetimes overlap — the
-        // merged lifetime is the longest, not the sum.
-        self.lifetime = self.lifetime.max(other.lifetime);
-        self.admitted += other.admitted;
-        self.shed += other.shed;
-        self.queued += other.queued;
-        self.queue_wait += other.queue_wait;
-        self.latency.merge(&other.latency);
-        self.kernel.merge(&other.kernel);
     }
 }
 
@@ -738,14 +715,9 @@ impl SpannerHandle {
         self.epoch
     }
 
-    /// The spanner graph.
-    ///
-    /// **Migration note (0.4):** for handles frozen through the serve
-    /// pipeline (or [`SpannerHandle::reordered`]) this returns the
-    /// *reordered* graph — vertex ids here are internal. Check
-    /// [`SpannerHandle::perm`] to translate; handles built directly with
-    /// [`SpannerHandle::new`]/[`SpannerHandle::from_output`] keep the
-    /// identity layout.
+    /// The spanner graph, in the handle's id space: internal ids for a
+    /// [`SpannerHandle::reordered`] handle (translate through
+    /// [`SpannerHandle::perm`]), the identity layout otherwise.
     pub fn graph(&self) -> &CsrGraph {
         &self.spanner
     }
@@ -866,12 +838,8 @@ pub struct SpannerServer {
     /// Cumulative per-source query counts, feeding live landmark selection.
     source_demand: HashMap<usize, u64>,
     stats: ServeStats,
-    /// The embedded serving runtime behind [`SpannerServer::answer_batch`].
-    /// Defaults to the unlimited configuration, which is behaviorally
-    /// identical to dispatching directly; a [`crate::runtime::Router`]
-    /// wrapping this server supplies its own core instead. `Option` only so
-    /// the shim can temporarily take it while dispatching into `self`.
-    runtime: Option<RouterCore>,
+    /// The boundary-skeleton clamp of a server built from a sharded build.
+    clamp: Option<SkeletonClamp>,
     /// When this server was created (or its stats last reset) — the origin
     /// of [`ServeStats::lifetime`].
     started: Instant,
@@ -880,13 +848,6 @@ pub struct SpannerServer {
 impl SpannerServer {
     /// A server with default options (see [`DEFAULT_CACHE_CAPACITY`] /
     /// [`DEFAULT_CACHE_ADMIT_THRESHOLD`]) over an epoch-stamped handle.
-    ///
-    /// **Migration note (0.3):** `SpannerServer` no longer owns a bare
-    /// frozen graph — it holds an epoch-stamped handle, and
-    /// `SpannerServer::new` takes that [`SpannerHandle`]. Code that built
-    /// servers through [`SpannerOutput::serve`] keeps working unchanged;
-    /// code that wants the handle explicitly writes
-    /// `SpannerServer::new(SpannerHandle::from_output(output))`.
     pub fn new(handle: SpannerHandle) -> Self {
         ServeBuilder::from_handle(handle).finish()
     }
@@ -1048,16 +1009,8 @@ impl SpannerServer {
     /// batch order. Queries fan out across the worker pool; answers are
     /// bit-identical at every thread count and cache state, and — for live
     /// servers — identical to a server rebuilt from scratch at the current
-    /// epoch.
-    ///
-    /// **Migration note (0.5):** this method is now a thin shim over the
-    /// serving runtime (see [`crate::runtime`]), submitted through an
-    /// *unlimited* [`RouterCore`] — no admission limit, no shedding, whole
-    /// batches dispatched in one chunk — so its behavior, answers and
-    /// errors are unchanged from earlier releases. To opt into QoS classes,
-    /// queueing and adaptive admission control, wrap the server in a
-    /// [`crate::runtime::Router`]; the direct dispatch path remains
-    /// available as [`SpannerServer::answer_batch_unlimited`].
+    /// epoch. For admission control, wrap the server in a
+    /// [`crate::runtime::Router`].
     ///
     /// # Errors
     ///
@@ -1065,32 +1018,6 @@ impl SpannerServer {
     /// see [`ServeError`]). On error nothing was executed and no statistic
     /// changed.
     pub fn answer_batch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        let mut runtime = self
-            .runtime
-            .take()
-            .expect("runtime is only vacant during dispatch");
-        let class = QosClass::of_batch(queries);
-        let result = runtime.submit(self, class, queries);
-        self.runtime = Some(runtime);
-        if result.is_ok() {
-            // The unlimited core admits everything instantly; fold the
-            // admission into this server's own counters so `stats()` tells
-            // the whole story without consulting the core.
-            self.stats.admitted += queries.len() as u64;
-        }
-        result
-    }
-
-    /// The pre-runtime batch path: validates and answers `queries` directly
-    /// against the pool, bypassing admission control entirely. This is what
-    /// the serving runtime dispatches into ([`Backend::dispatch`]); it is
-    /// public both as the escape hatch and as the reference behavior the
-    /// admission-determinism suite compares admitted answers against.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SpannerServer::answer_batch`].
-    pub fn answer_batch_unlimited(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
         let epoch = self.served.verify()?;
         self.validate(queries)?;
         if queries.is_empty() {
@@ -1112,15 +1039,27 @@ impl SpannerServer {
             }
         }
 
-        // Reordered handles work in internal ids: translate the batch once
-        // up front (cache keys, admission demand, and engine queries all
+        // Rewrite the batch once up front: sharded builds clamp cross-shard
+        // distance bounds (in external ids), and reordered handles work in
+        // internal ids (cache keys, admission demand, and engine queries all
         // live in internal space); answers translate back per query.
-        let translated: Option<Vec<Query>> = self
-            .served
-            .handle()
-            .and_then(SpannerHandle::perm)
-            .map(|perm| queries.iter().map(|q| translate_query(q, perm)).collect());
-        let queries: &[Query] = translated.as_deref().unwrap_or(queries);
+        let perm = self.served.handle().and_then(SpannerHandle::perm);
+        let rewritten: Option<Vec<Query>> = (self.clamp.is_some() || perm.is_some()).then(|| {
+            queries
+                .iter()
+                .map(|query| {
+                    let query = match self.clamp.as_mut().and_then(|c| c.tighten(query)) {
+                        Some(clamped) => {
+                            self.stats.skeleton_clamps += 1;
+                            clamped
+                        }
+                        None => *query,
+                    };
+                    perm.map_or(query, |perm| translate_query(&query, perm))
+                })
+                .collect()
+        });
+        let queries: &[Query] = rewritten.as_deref().unwrap_or(queries);
 
         // Phase 1 — deterministic cache admission. Count per-source demand;
         // sources meeting the threshold (in first-appearance order, capped
@@ -1317,11 +1256,50 @@ impl Backend for SpannerServer {
     }
 
     fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        self.answer_batch_unlimited(queries)
+        self.answer_batch(queries)
     }
 
     fn occupancy(&self) -> usize {
         self.pool.inflight()
+    }
+}
+
+/// The boundary-skeleton clamp a server built by [`ShardedOutput::serve`]
+/// carries: a cross-shard [`Query::Distance`] between boundary vertices has
+/// its bound tightened to [`BoundarySkeleton::distance_upper_bound`]. The
+/// true spanner distance never exceeds that bound, so `min(bound,
+/// skeleton)` accepts exactly the same distances.
+#[derive(Debug)]
+struct SkeletonClamp {
+    skeleton: BoundarySkeleton,
+    /// `assignment[v]` = build shard owning vertex `v`.
+    assignment: Vec<u32>,
+    engine: DijkstraEngine,
+}
+
+impl SkeletonClamp {
+    /// The query with its bound clamped, or `None` when the clamp does not
+    /// fire. Works in external ids.
+    fn tighten(&mut self, query: &Query) -> Option<Query> {
+        let Query::Distance {
+            source,
+            target,
+            bound,
+        } = *query
+        else {
+            return None;
+        };
+        if self.assignment[source.index()] == self.assignment[target.index()] {
+            return None;
+        }
+        let ub = self
+            .skeleton
+            .distance_upper_bound(&mut self.engine, source, target)?;
+        (ub < bound).then_some(Query::Distance {
+            source,
+            target,
+            bound: ub,
+        })
     }
 }
 
@@ -1529,6 +1507,8 @@ pub struct ServeBuilder {
     /// live servers, keep a handle's table).
     landmark_count: Option<usize>,
     relax_kernel: RelaxKernel,
+    /// Set only by [`ShardedOutput::serve`].
+    clamp: Option<SkeletonClamp>,
 }
 
 /// Default number of shortest-path trees the cache holds.
@@ -1554,6 +1534,7 @@ impl ServeBuilder {
             reorder: None,
             landmark_count: None,
             relax_kernel: RelaxKernel::Auto,
+            clamp: None,
         }
     }
 
@@ -1719,7 +1700,7 @@ impl ServeBuilder {
             live_landmarks: None,
             source_demand: HashMap::new(),
             stats: ServeStats::default(),
-            runtime: Some(RouterCore::unlimited()),
+            clamp: self.clamp,
             started: Instant::now(),
         }
     }
@@ -1749,429 +1730,22 @@ impl LiveSpanner {
     }
 }
 
-/// A sharded serving front-end over a sharded build: `k` replica
-/// [`SpannerServer`]s — each a clone of **one** stitched, epoch-stamped
-/// handle — plus a routing table and the build's boundary skeleton.
-///
-/// Queries are routed to the serve shard that owns their *source* vertex,
-/// so each shard's SPT cache concentrates on its own sources instead of
-/// thrashing across the whole id space. Cross-shard [`Query::Distance`]
-/// searches between boundary vertices are tightened through the skeleton
-/// first: the skeleton distance upper-bounds the spanner distance (every
-/// skeleton path is realizable in the spanner), so clamping the search
-/// bound to it admits exactly the same answers while settling fewer
-/// vertices ([`ShardedServer::skeleton_clamps`] counts the tightenings).
-///
-/// Because every replica serves the *same* handle and both routing and the
-/// skeleton clamp are answer-invariant, answers are **bit-identical at
-/// every serve-shard count, thread count, and cache state** — and with one
-/// serve shard the server *is* today's [`SpannerServer`] over the stitched
-/// output, bit for bit. The root `tests/sharded_determinism.rs` suite
-/// asserts this across serve shards {1, 2, 4} × threads {1, 2, 8}.
-#[derive(Debug)]
-pub struct ShardedServer {
-    shards: Vec<SpannerServer>,
-    /// `assignment[v]` = serve shard owning source vertex `v`.
-    assignment: Vec<u32>,
-    skeleton: BoundarySkeleton,
-    skeleton_engine: DijkstraEngine,
-    skeleton_clamps: u64,
-    /// The embedded unlimited runtime behind
-    /// [`ShardedServer::answer_batch`] — same take/put shim pattern as
-    /// [`SpannerServer`]. A [`crate::runtime::Router`] wrapping the whole
-    /// sharded front door supplies its own core instead.
-    runtime: Option<RouterCore>,
-    /// Front-door admission counters (admitted/shed/queued/queue_wait),
-    /// kept separately from the replica shards so [`ShardedServer::stats`]
-    /// can merge them in without double-counting replica dispatches.
-    front_stats: ServeStats,
-}
-
-impl ShardedServer {
-    /// Answers a batch: routes each query to its source's shard (tightening
-    /// cross-shard distance bounds through the boundary skeleton), runs the
-    /// per-shard sub-batches, and reassembles answers in input order.
-    ///
-    /// Validation runs over the *whole* batch up front against replica 0 —
-    /// all replicas serve the same handle — so a batch still either runs
-    /// whole or not at all, exactly like [`SpannerServer::answer_batch`].
-    ///
-    /// **Migration note (0.5):** like [`SpannerServer::answer_batch`], this
-    /// is now a shim over an *unlimited* [`RouterCore`] — behavior, answers
-    /// and errors are unchanged. Wrap the server in a
-    /// [`crate::runtime::Router`] for admission control over the whole
-    /// sharded front door.
-    pub fn answer_batch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        let mut runtime = self
-            .runtime
-            .take()
-            .expect("runtime is only vacant during dispatch");
-        let class = QosClass::of_batch(queries);
-        let result = runtime.submit(self, class, queries);
-        self.runtime = Some(runtime);
-        if result.is_ok() {
-            self.front_stats.admitted += queries.len() as u64;
-        }
-        result
-    }
-
-    /// The pre-runtime sharded batch path: routes and answers directly,
-    /// bypassing admission control. This is what the serving runtime
-    /// dispatches into ([`Backend::dispatch`]); replica sub-batches also go
-    /// through the unlimited path so a dispatch is admitted exactly once —
-    /// at the front door.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardedServer::answer_batch`].
-    pub fn answer_batch_unlimited(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        self.shards[0].served.verify()?;
-        self.shards[0].validate(queries)?;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let k = self.shards.len();
-        let mut routed_idx: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut routed: Vec<Vec<Query>> = vec![Vec::new(); k];
-        for (i, query) in queries.iter().enumerate() {
-            let shard = self.assignment[query.source().index()] as usize;
-            let query = self.tighten(shard, *query);
-            routed_idx[shard].push(i);
-            routed[shard].push(query);
-        }
-        let mut answers: Vec<Option<Answer>> = vec![None; queries.len()];
-        for shard in 0..k {
-            if routed[shard].is_empty() {
-                continue;
-            }
-            let sub = self.shards[shard].answer_batch_unlimited(&routed[shard])?;
-            for (&i, answer) in routed_idx[shard].iter().zip(sub) {
-                answers[i] = Some(answer);
-            }
-        }
-        Ok(answers
-            .into_iter()
-            .map(|a| a.expect("every query was routed to exactly one shard"))
-            .collect())
-    }
-
-    /// Tightens a cross-shard distance query's bound to the boundary
-    /// skeleton's upper bound when both endpoints are boundary vertices.
-    /// Answer-invariant: the true spanner distance never exceeds the
-    /// skeleton bound (see [`BoundarySkeleton::distance_upper_bound`]), so
-    /// `min(bound, skeleton)` accepts exactly the same distances.
-    fn tighten(&mut self, shard: usize, query: Query) -> Query {
-        let Query::Distance {
-            source,
-            target,
-            bound,
-        } = query
-        else {
-            return query;
-        };
-        if self.assignment[target.index()] as usize == shard {
-            return query;
-        }
-        let Some(ub) =
-            self.skeleton
-                .distance_upper_bound(&mut self.skeleton_engine, source, target)
-        else {
-            return query;
-        };
-        if ub < bound {
-            self.skeleton_clamps += 1;
-            Query::Distance {
-                source,
-                target,
-                bound: ub,
-            }
-        } else {
-            query
-        }
-    }
-
-    /// Number of serve shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Vertices of the served (stitched) spanner.
-    pub fn num_vertices(&self) -> usize {
-        self.shards[0].num_vertices()
-    }
-
-    /// Live edges of the served (stitched) spanner.
-    pub fn num_edges(&self) -> usize {
-        self.shards[0].num_edges()
-    }
-
-    /// Worker threads each shard answers its sub-batch with.
-    pub fn threads(&self) -> usize {
-        self.shards[0].threads()
-    }
-
-    /// Which construction produced the served spanner (the sharded build's
-    /// provenance, naming the inner algorithm and shard count).
-    pub fn provenance(&self) -> &Provenance {
-        self.shards[0].provenance()
-    }
-
-    /// The served spanner's epoch.
-    pub fn epoch(&self) -> u64 {
-        self.shards[0].epoch()
-    }
-
-    /// The serve shard owning queries sourced at `v`.
-    pub fn shard_of(&self, v: VertexId) -> usize {
-        self.assignment[v.index()] as usize
-    }
-
-    /// The boundary skeleton cross-shard bounds are tightened through.
-    pub fn skeleton(&self) -> &BoundarySkeleton {
-        &self.skeleton
-    }
-
-    /// How many cross-shard distance bounds the skeleton tightened.
-    pub fn skeleton_clamps(&self) -> u64 {
-        self.skeleton_clamps
-    }
-
-    /// One serve shard's statistics.
-    pub fn shard_stats(&self, shard: usize) -> &ServeStats {
-        self.shards[shard].stats()
-    }
-
-    /// The per-shard replica servers, in shard order.
-    pub fn shards(&self) -> &[SpannerServer] {
-        &self.shards
-    }
-
-    /// Aggregate statistics across all serve shards, merged with
-    /// [`ServeStats::merge`] — counters add, latency histograms combine
-    /// exactly, `elapsed` totals the serving work. Front-door admission
-    /// counters (admitted/shed/queued/queue_wait) merge in on top: replica
-    /// dispatches bypass per-shard admission, so the front door is their
-    /// single source of truth.
-    pub fn stats(&self) -> ServeStats {
-        let mut merged = ServeStats::default();
-        for shard in &self.shards {
-            merged.merge(shard.stats());
-        }
-        merged.merge(&self.front_stats);
-        merged
-    }
-
-    /// Shortest-path trees cached across all shards.
-    pub fn cached_trees(&self) -> usize {
-        self.shards.iter().map(SpannerServer::cached_trees).sum()
-    }
-
-    /// Mean worker utilization across the shard pools.
-    pub fn worker_utilization(&self) -> f64 {
-        let sum: f64 = self
-            .shards
-            .iter()
-            .map(SpannerServer::worker_utilization)
-            .sum();
-        sum / self.shards.len() as f64
-    }
-
-    /// Resets every shard's serving statistics, the front-door admission
-    /// counters, and the clamp counter.
-    pub fn reset_stats(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset_stats();
-        }
-        self.front_stats = ServeStats::default();
-        self.skeleton_clamps = 0;
-    }
-}
-
-impl Backend for ShardedServer {
-    fn validate_batch(&self, queries: &[Query]) -> Result<(), ServeError> {
-        // All replicas serve the same handle; replica 0 speaks for them.
-        self.shards[0].served.verify()?;
-        self.shards[0].validate(queries)
-    }
-
-    fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-        self.answer_batch_unlimited(queries)
-    }
-
-    fn occupancy(&self) -> usize {
-        self.shards.iter().map(|s| s.pool.inflight()).sum()
-    }
-}
-
-/// Assembles a [`ShardedServer`]; created by [`ShardedOutput::serve`].
-///
-/// The builder freezes the stitched spanner into **one** handle exactly the
-/// way [`ServeBuilder`] freezes a fresh [`SpannerOutput`] (degree-sorted
-/// relayout + landmark table by default), then clones that handle into one
-/// replica [`SpannerServer`] per serve shard. With
-/// [`ShardedServeBuilder::serve_shards`]`(1)` the result answers
-/// bit-identically to `output.serve().finish()` on the same stitched
-/// output.
-///
-/// ```no_run
-/// use greedy_spanner::ShardedSpanner;
-/// use spanner_graph::WeightedGraph;
-///
-/// let g = WeightedGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.9)])?;
-/// let sharded = ShardedSpanner::greedy().stretch(2.0).shards(2).build(&g)?;
-/// let server = sharded.serve().threads(4).finish();
-/// assert_eq!(server.num_shards(), 2);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct ShardedServeBuilder {
-    output: ShardedOutput,
-    /// `None` = one serve shard per build shard.
-    serve_shards: Option<usize>,
-    threads: usize,
-    cache_capacity: usize,
-    cache_admit_threshold: usize,
-    baseline: Option<WeightedGraph>,
-    queue_policy: QueuePolicy,
-    reorder: Option<bool>,
-    landmark_count: Option<usize>,
-    relax_kernel: RelaxKernel,
-}
-
-impl ShardedServeBuilder {
-    fn new(output: ShardedOutput) -> Self {
-        ShardedServeBuilder {
-            output,
-            serve_shards: None,
-            threads: 0,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            cache_admit_threshold: DEFAULT_CACHE_ADMIT_THRESHOLD,
-            baseline: None,
-            queue_policy: QueuePolicy::Auto,
-            reorder: None,
-            landmark_count: None,
-            relax_kernel: RelaxKernel::Auto,
-        }
-    }
-
-    /// How many serve shards to run (clamped to `1..=n`). Defaults to the
-    /// build's shard count; any value answers identically — serve sharding
-    /// is pure routing over replicas of one stitched handle.
-    pub fn serve_shards(mut self, shards: usize) -> Self {
-        self.serve_shards = Some(shards);
-        self
-    }
-
-    /// Worker threads per shard sub-batch; `0` (the default) resolves like
-    /// [`ServeBuilder::threads`]. Answers are identical at every value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Per-shard SPT cache capacity (see [`ServeBuilder::cache_capacity`]).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Per-shard cache admission threshold (see
-    /// [`ServeBuilder::cache_admit_threshold`]).
-    pub fn cache_admit_threshold(mut self, threshold: usize) -> Self {
-        self.cache_admit_threshold = threshold.max(1);
-        self
-    }
-
-    /// Frontier policy for bounded queries (see
-    /// [`ServeBuilder::queue_policy`]); purely a speed knob.
-    pub fn queue_policy(mut self, policy: QueuePolicy) -> Self {
-        self.queue_policy = policy;
-        self
-    }
-
-    /// Relaxation kernel for the replica engines (see
-    /// [`ServeBuilder::relax_kernel`]); purely a speed knob.
-    pub fn relax_kernel(mut self, kernel: RelaxKernel) -> Self {
-        self.relax_kernel = kernel;
-        self
-    }
-
-    /// Whether to apply the degree-sorted relayout to the stitched handle
-    /// (default `true`, like fresh outputs; see [`ServeBuilder::reorder`]).
-    pub fn reorder(mut self, reorder: bool) -> Self {
-        self.reorder = Some(reorder);
-        self
-    }
-
-    /// ALT landmarks on the stitched handle (see
-    /// [`ServeBuilder::landmarks`]).
-    pub fn landmarks(mut self, count: usize) -> Self {
-        self.landmark_count = Some(count);
-        self
-    }
-
-    /// Supplies the original graph for [`Query::StretchAudit`] queries
-    /// (each replica audits against its own co-reordered copy).
-    pub fn audit_against(mut self, graph: &WeightedGraph) -> Self {
-        self.baseline = Some(graph.clone());
-        self
-    }
-
-    /// Builds the server: freezes the stitched spanner into one handle
-    /// (relayout + landmarks, as [`ServeBuilder::finish`] does for fresh
-    /// outputs), clones it into one replica per serve shard, and wires the
-    /// routing table — the build partition's assignment when the serve
-    /// shard count matches the build's, contiguous balanced ranges
-    /// otherwise.
-    pub fn finish(self) -> ShardedServer {
-        let n = self.output.partition.num_vertices();
-        let build_shards = self.output.partition.num_shards();
-        let k = self.serve_shards.unwrap_or(build_shards).clamp(1, n.max(1));
-        let assignment: Vec<u32> = if k == build_shards {
-            self.output.partition.assignment().to_vec()
-        } else {
-            (0..n).map(|v| ((v * k) / n) as u32).collect()
-        };
-        let skeleton = self.output.skeleton;
-        let mut handle = SpannerHandle::from_output(self.output.output);
-        if self.reorder.unwrap_or(true) {
-            handle = handle.reordered();
-        }
-        handle = handle.with_landmarks(self.landmark_count.unwrap_or(DEFAULT_LANDMARK_COUNT));
-        let shards: Vec<SpannerServer> = (0..k)
-            .map(|_| {
-                let mut builder = ServeBuilder::from_handle(handle.clone())
-                    .threads(self.threads)
-                    .cache_capacity(self.cache_capacity)
-                    .cache_admit_threshold(self.cache_admit_threshold)
-                    .queue_policy(self.queue_policy)
-                    .relax_kernel(self.relax_kernel);
-                if let Some(baseline) = &self.baseline {
-                    builder = builder.audit_against(baseline);
-                }
-                builder.finish()
-            })
-            .collect();
-        ShardedServer {
-            shards,
-            assignment,
-            skeleton,
-            skeleton_engine: DijkstraEngine::new(),
-            skeleton_clamps: 0,
-            runtime: Some(RouterCore::unlimited()),
-            front_stats: ServeStats::default(),
-        }
-    }
-}
-
 impl ShardedOutput {
-    /// Turns this sharded build into a sharded serving pipeline:
+    /// Turns this sharded build into a serving pipeline:
     /// `ShardedSpanner::greedy().shards(4).build(&g)?.serve().finish()`.
     ///
-    /// The output is consumed; the stitched spanner is frozen once and
-    /// replicated across the serve shards. See [`ShardedServeBuilder`].
-    pub fn serve(self) -> ShardedServeBuilder {
-        ShardedServeBuilder::new(self)
+    /// The stitched spanner is frozen exactly as [`SpannerOutput::serve`]
+    /// freezes it, and the server additionally carries the boundary
+    /// skeleton clamp (see the [module docs](crate::serve)). Answers are
+    /// bit-identical to `self.output.serve()`.
+    pub fn serve(self) -> ServeBuilder {
+        let mut builder = self.output.serve();
+        builder.clamp = Some(SkeletonClamp {
+            skeleton: self.skeleton,
+            assignment: self.partition.assignment().to_vec(),
+            engine: DijkstraEngine::new(),
+        });
+        builder
     }
 }
 
@@ -2298,59 +1872,6 @@ mod tests {
             stats.lifetime_qps(),
             stats.qps()
         );
-    }
-
-    #[test]
-    fn merge_combines_admission_counters_and_lifetime_takes_the_max() {
-        let mut a = ServeStats {
-            admitted: 10,
-            shed: 2,
-            queued: 3,
-            queue_wait: Duration::from_millis(5),
-            lifetime: Duration::from_secs(4),
-            ..ServeStats::default()
-        };
-        let b = ServeStats {
-            admitted: 7,
-            shed: 1,
-            queued: 0,
-            queue_wait: Duration::from_millis(2),
-            lifetime: Duration::from_secs(9),
-            ..ServeStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.admitted, 17);
-        assert_eq!(a.shed, 3);
-        assert_eq!(a.queued, 3);
-        assert_eq!(a.queue_wait, Duration::from_millis(7));
-        assert_eq!(a.lifetime, Duration::from_secs(9), "lifetimes overlap");
-    }
-
-    #[test]
-    fn answer_batch_shim_matches_the_unlimited_path_and_counts_admission() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let g = erdos_renyi_connected(40, 0.15, 1.0..4.0, &mut rng);
-        let mut via_shim = server_for(&g, 8, 2);
-        let mut direct = server_for(&g, 8, 2);
-        let queries: Vec<Query> = (0..40)
-            .map(|i| Query::distance(VertexId(i % 40), VertexId((i * 7 + 3) % 40), f64::INFINITY))
-            .collect();
-        let a = via_shim.answer_batch(&queries).unwrap();
-        let b = direct.answer_batch_unlimited(&queries).unwrap();
-        assert_eq!(a, b, "the unlimited shim answers bit-identically");
-        let stats = via_shim.stats();
-        assert_eq!(stats.admitted, 40, "everything admitted");
-        assert_eq!(stats.shed, 0);
-        assert_eq!(stats.queued, 0, "no queueing in the unlimited core");
-        assert_eq!(stats.queue_wait, Duration::ZERO);
-        assert_eq!(direct.stats().admitted, 0, "direct path skips admission");
-        // Errors pass through the shim unchanged and admit nothing.
-        let bad = [Query::distance(VertexId(0), VertexId(999), 1.0)];
-        assert!(matches!(
-            via_shim.answer_batch(&bad),
-            Err(ServeError::VertexOutOfRange { .. })
-        ));
-        assert_eq!(via_shim.stats().admitted, 40);
     }
 
     #[test]
@@ -2786,74 +2307,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_stats_merge_aggregates_counters() {
-        let mut left = ServeStats {
-            queries: 10,
-            batches: 2,
-            cache_hits: 3,
-            cache_misses: 7,
-            cache_insertions: 4,
-            cache_evictions: 1,
-            stale_evictions: 0,
-            epoch: 5,
-            elapsed: Duration::from_millis(20),
-            ..ServeStats::default()
-        };
-        let right = ServeStats {
-            queries: 4,
-            batches: 1,
-            cache_hits: 1,
-            cache_misses: 3,
-            cache_insertions: 2,
-            cache_evictions: 2,
-            stale_evictions: 6,
-            epoch: 9,
-            elapsed: Duration::from_millis(5),
-            ..ServeStats::default()
-        };
-        left.merge(&right);
-        assert_eq!(left.queries, 14);
-        assert_eq!(left.batches, 3);
-        assert_eq!(left.cache_hits, 4);
-        assert_eq!(left.cache_misses, 10);
-        assert_eq!(left.cache_insertions, 6);
-        assert_eq!(left.cache_evictions, 3);
-        assert_eq!(left.stale_evictions, 6);
-        assert_eq!(left.epoch, 9);
-        assert_eq!(left.elapsed, Duration::from_millis(25));
-        assert_eq!(left.cache_hit_rate(), Some(4.0 / 14.0));
-    }
-
-    #[test]
     fn untouched_server_rates_decline_instead_of_dividing_by_zero() {
         let g = diamond();
         let server = server_for(&g, 4, 1);
         assert_eq!(server.stats().qps(), None);
         assert_eq!(server.stats().cache_hit_rate(), None);
-        // Merging all-zero stats must keep the rates declined.
-        let mut merged = ServeStats::default();
-        merged.merge(server.stats());
-        assert_eq!(merged.qps(), None);
-        assert_eq!(merged.cache_hit_rate(), None);
-        assert_eq!(merged.latency.quantile(0.5), None);
-    }
-
-    /// A mixed batch whose sources spread across shards, with repeats for
-    /// cache admission and cross-shard distance queries (bounded and not).
-    fn sharded_query_mix(n: usize) -> Vec<Query> {
-        (0..120)
-            .map(|i| {
-                let s = VertexId((i * 13) % n);
-                let t = VertexId((i * 29 + 3) % n);
-                match i % 5 {
-                    0 => Query::distance(s, t, f64::INFINITY),
-                    1 => Query::distance(s, t, 4.0 + (i % 7) as f64),
-                    2 => Query::path(s, t),
-                    3 => Query::ball(s, (i % 4) as f64 + 0.5),
-                    _ => Query::k_nearest(s, i % 8),
-                }
-            })
-            .collect()
+        assert_eq!(server.stats().lifetime_qps(), None);
+        assert_eq!(server.stats().latency.quantile(0.5), None);
     }
 
     #[test]
@@ -2866,41 +2326,39 @@ mod tests {
             .shards(3)
             .build(&g)
             .unwrap();
-        let queries = sharded_query_mix(60);
-        // Reference: today's SpannerServer over the identical stitched output.
+        let n = g.num_vertices();
+        let queries: Vec<Query> = (0..120)
+            .map(|i| {
+                let s = VertexId((i * 13) % n);
+                let t = VertexId((i * 29 + 3) % n);
+                match i % 5 {
+                    0 => Query::distance(s, t, f64::INFINITY),
+                    1 => Query::distance(s, t, 4.0 + (i % 7) as f64),
+                    2 => Query::path(s, t),
+                    3 => Query::ball(s, (i % 4) as f64 + 0.5),
+                    _ => Query::k_nearest(s, i % 8),
+                }
+            })
+            .collect();
+        // Reference: a plain server over the identical stitched output,
+        // with no skeleton to clamp through.
         let mut plain = sharded.output.clone().serve().finish();
         let reference_cold = plain.answer_batch(&queries).unwrap();
         let reference_warm = plain.answer_batch(&queries).unwrap();
         assert_eq!(reference_cold, reference_warm);
-        for serve_shards in [1usize, 2, 3, 5] {
-            let mut server = sharded.clone().serve().serve_shards(serve_shards).finish();
-            assert_eq!(server.num_shards(), serve_shards);
+        for threads in [1usize, 2, 3, 5] {
+            let mut server = sharded.clone().serve().threads(threads).finish();
+            assert_eq!(server.threads(), threads);
             let cold = server.answer_batch(&queries).unwrap();
             let warm = server.answer_batch(&queries).unwrap();
-            assert_eq!(cold, reference_cold, "serve_shards={serve_shards} cold");
-            assert_eq!(warm, reference_cold, "serve_shards={serve_shards} warm");
-            let merged = server.stats();
-            assert_eq!(merged.queries, 2 * queries.len() as u64);
-            let per_shard: u64 = (0..serve_shards)
-                .map(|s| server.shard_stats(s).queries)
-                .sum();
-            assert_eq!(merged.queries, per_shard);
-            assert_eq!(merged.latency.total(), merged.queries);
-            assert_eq!(
-                merged.admitted,
-                2 * queries.len() as u64,
-                "admission is counted once, at the sharded front door"
-            );
-            assert_eq!(merged.shed, 0);
-            assert_eq!(
-                (0..serve_shards)
-                    .map(|s| server.shard_stats(s).admitted)
-                    .sum::<u64>(),
-                0,
-                "replica dispatches bypass per-shard admission"
-            );
+            assert_eq!(cold, reference_cold, "threads={threads} cold");
+            assert_eq!(warm, reference_cold, "threads={threads} warm");
+            let stats = server.stats();
+            assert_eq!(stats.queries, 2 * queries.len() as u64);
+            assert_eq!(stats.batches, 2);
+            assert_eq!(stats.latency.total(), stats.queries);
             server.reset_stats();
-            assert_eq!(server.stats().admitted, 0, "reset clears the front door");
+            assert_eq!(server.stats().queries, 0, "reset clears the counters");
         }
     }
 
@@ -2914,46 +2372,52 @@ mod tests {
             .shards(4)
             .build(&g)
             .unwrap();
-        // Unbounded cross-shard distance queries between *boundary*
-        // vertices — exactly the shape the skeleton clamp fires on.
-        let skeleton = sharded.skeleton.clone();
+        // Cross-shard distance queries between *boundary* vertices — the
+        // shape the skeleton clamp fires on — unbounded and bounded, plus
+        // non-distance queries the clamp must leave alone.
+        let skeleton = &sharded.skeleton;
+        let boundary: Vec<VertexId> = (0..skeleton.num_vertices())
+            .map(|v| skeleton.global_of(VertexId(v)))
+            .collect();
+        assert!(
+            !boundary.is_empty(),
+            "partition produced no boundary vertices"
+        );
         let mut queries = Vec::new();
-        for a in 0..skeleton.num_vertices() {
-            for b in (a + 1)..skeleton.num_vertices() {
-                queries.push(Query::distance(
-                    skeleton.global_of(VertexId(a)),
-                    skeleton.global_of(VertexId(b)),
-                    f64::INFINITY,
-                ));
-                if queries.len() >= 60 {
-                    break;
-                }
+        for (i, &a) in boundary.iter().enumerate() {
+            for &b in &boundary[i + 1..] {
+                queries.push(Query::distance(a, b, f64::INFINITY));
+                queries.push(Query::distance(a, b, 4.0 + (queries.len() % 7) as f64));
             }
-            if queries.len() >= 60 {
+            queries.push(Query::path(a, boundary[0]));
+            queries.push(Query::k_nearest(a, i % 8));
+            if queries.len() >= 120 {
                 break;
             }
         }
-        assert!(!queries.is_empty(), "partition produced no boundary pairs");
         let mut plain = sharded.output.clone().serve().finish();
         let reference = plain.answer_batch(&queries).unwrap();
+        assert_eq!(
+            plain.stats().skeleton_clamps,
+            0,
+            "no clamp without a skeleton"
+        );
         let mut server = sharded.serve().finish();
-        let answers = server.answer_batch(&queries).unwrap();
-        assert_eq!(answers, reference);
+        let cold = server.answer_batch(&queries).unwrap();
+        let clamps = server.stats().skeleton_clamps;
+        let warm = server.answer_batch(&queries).unwrap();
+        assert_eq!(cold, reference, "clamped answers equal unclamped ones");
+        assert_eq!(warm, reference, "warm");
         assert!(
-            server.skeleton_clamps() > 0,
+            clamps > 0,
             "no cross-shard bound was tightened through the skeleton"
         );
-        // Clamped answers are real distances, not skeleton upper bounds.
-        for (query, answer) in queries.iter().zip(&answers) {
-            let Query::Distance { source, target, .. } = query else {
-                unreachable!()
-            };
-            if let Answer::Distance(Some(d)) = answer {
-                let direct = plain
-                    .answer_batch(&[Query::distance(*source, *target, f64::INFINITY)])
-                    .unwrap();
-                assert_eq!(direct[0].distance(), Some(*d));
-            }
-        }
+        assert_eq!(
+            server.stats().skeleton_clamps,
+            2 * clamps,
+            "clamps are per query"
+        );
+        server.reset_stats();
+        assert_eq!(server.stats().skeleton_clamps, 0, "reset zeroes the count");
     }
 }

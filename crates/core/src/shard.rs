@@ -224,7 +224,7 @@ pub struct StitchStats {
 /// Besides certifying construction, the skeleton serves: a skeleton
 /// distance between two boundary vertices upper-bounds their
 /// global-spanner distance (every skeleton path is realizable in the
-/// spanner), which [`ShardedServer`](crate::serve::ShardedServer) uses to
+/// spanner), which a server built by [`ShardedOutput::serve`] uses to
 /// tighten cross-shard search bounds without changing any answer.
 #[derive(Debug, Clone)]
 pub struct BoundarySkeleton {

@@ -1,7 +1,8 @@
 //! Sharded construction and serving, end to end: partition a large graph,
 //! build each shard's greedy spanner through the engine-pool pipeline,
 //! stitch the boundary skeleton, certify the global stretch, then serve
-//! cross-shard queries through a [`ShardedServer`].
+//! cross-shard queries through a `SpannerServer` that clamps cross-shard
+//! distance bounds to the skeleton distance.
 //!
 //! Run with `cargo run --release --example sharded`.
 
@@ -53,10 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let reachable = answers.iter().filter(|a| a.distance().is_some()).count();
             println!(
                 "served {} cross-shard queries ({} reachable), \
-                 {} skeleton clamps, merged p50 {:?}",
+                 {} skeleton clamps, p50 {:?}",
                 answers.len(),
                 reachable,
-                server.skeleton_clamps(),
+                server.stats().skeleton_clamps,
                 server.stats().latency.p50(),
             );
         }

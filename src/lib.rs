@@ -119,16 +119,13 @@
 //!
 //! # The serving runtime
 //!
-//! Every server kind answers through one front door
-//! ([`greedy_spanner::runtime`]): the
-//! [`Backend`](greedy_spanner::runtime::Backend) trait (frozen, live and
-//! sharded servers all implement it), a QoS-classed
-//! [`Router`](greedy_spanner::runtime::Router) — interactive point queries
-//! preempt bulk scans — with adaptive AIMD/Gradient concurrency limiters
-//! over the engine pool's inflight gauge, and load shedding past the knee
-//! via `ServeError::Overloaded { retry_after_hint }`. Admitted answers are
-//! bit-identical to the unlimited path (`answer_batch` remains available
-//! as a never-shedding shim), and under a seeded
+//! A server answers batches directly; for admission control wrap it in the
+//! QoS-classed [`Router`](greedy_spanner::runtime::Router)
+//! ([`greedy_spanner::runtime`]) — interactive point queries preempt bulk
+//! scans — with adaptive AIMD/Gradient concurrency limiters over the engine
+//! pool's inflight gauge, and load shedding past the knee via
+//! `ServeError::Overloaded { retry_after_hint }`. Admitted answers are
+//! bit-identical to direct `answer_batch` calls, and under a seeded
 //! [`VirtualClock`](greedy_spanner::runtime::VirtualClock) the whole
 //! admission trajectory reproduces bit-for-bit at every thread count.
 //!
@@ -232,11 +229,12 @@
 //! a contracted skeleton of exact boundary-pair distances so the **global**
 //! stretch-`t` still certifies
 //! ([`ShardedOutput::certified_stretch`](greedy_spanner::ShardedOutput::certified_stretch));
-//! serving routes each query to the owning shard's server and tightens
-//! cross-shard distance bounds through the skeleton
-//! ([`ShardedServer`](greedy_spanner::ShardedServer)). The artifact is
-//! bit-identical across thread counts and the answers are bit-identical
-//! across serve-shard counts.
+//! [`ShardedOutput::serve`](greedy_spanner::ShardedOutput::serve) serves
+//! the stitched spanner from one ordinary
+//! [`SpannerServer`](greedy_spanner::SpannerServer) that clamps
+//! cross-shard distance bounds to the skeleton distance first (counted in
+//! `ServeStats::skeleton_clamps`). The artifact is bit-identical across
+//! thread counts, and the clamp never changes an answer.
 //!
 //! ```
 //! use greedy_spanner_suite::prelude::*;
@@ -249,6 +247,7 @@
 //! let mut server = out.serve().finish();
 //! let batch = QueryWorkload::mixed(144, false)?.queries(64).seed(2).generate();
 //! assert_eq!(server.answer_batch(&batch)?.len(), 64);
+//! println!("{} bounds clamped", server.stats().skeleton_clamps);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -290,8 +289,7 @@ pub mod prelude {
         QueryCosts, Router, RouterBuilder, RouterStats, Ticket, VirtualClock, WindowedHistogram,
     };
     pub use greedy_spanner::{
-        BoundarySkeleton, LatencyHistogram, ShardedOutput, ShardedServeBuilder, ShardedServer,
-        ShardedSpanner, StitchStats,
+        BoundarySkeleton, LatencyHistogram, ShardedOutput, ShardedSpanner, StitchStats,
     };
     pub use greedy_spanner::{PersistError, Recovered, RecoveryReport};
     pub use spanner_graph::{

@@ -3,16 +3,14 @@
 //! * Under a fixed open-loop schedule, a seeded virtual clock and a fixed
 //!   limiter configuration, the **admitted/shed partition is identical** at
 //!   every thread count {1, 2, 8} and across every backend kind (frozen
-//!   [`SpannerServer`], live server, [`ShardedServer`]) — shed decisions
-//!   are a pure function of the schedule and the seed, never of backend
-//!   answers, machine load or thread scheduling.
-//! * **Admitted answers are bit-identical** to the pre-runtime unlimited
-//!   path (`answer_batch_unlimited` on an identically built twin), even
-//!   though the router dispatches them in limit-sized chunks — chunked
-//!   dispatch rides the standing batch-boundary-invariance guarantee.
-//! * The compatibility shim (`answer_batch`, now routed through an
-//!   unlimited core) answers bit-identically to the unlimited path and
-//!   never sheds.
+//!   [`SpannerServer`], live server, and a server over a sharded build
+//!   carrying the boundary-skeleton clamp) — shed decisions are a pure
+//!   function of the schedule and the seed, never of backend answers,
+//!   machine load or thread scheduling.
+//! * **Admitted answers are bit-identical** to direct `answer_batch` calls
+//!   on an identically built twin, even though the router dispatches them
+//!   in limit-sized chunks — chunked dispatch rides the standing
+//!   batch-boundary-invariance guarantee.
 
 use std::time::Duration;
 
@@ -72,6 +70,19 @@ fn frozen_server(g: &WeightedGraph, threads: usize) -> SpannerServer {
         .finish()
 }
 
+/// A server over a 3-shard build: the stitched spanner plus the
+/// boundary-skeleton clamp.
+fn sharded_server(g: &WeightedGraph, threads: usize) -> SpannerServer {
+    ShardedSpanner::greedy()
+        .stretch(STRETCH)
+        .shards(3)
+        .build(g)
+        .expect("sharded build")
+        .serve()
+        .threads(threads)
+        .finish()
+}
+
 fn live_server(g: &WeightedGraph, threads: usize) -> SpannerServer {
     Spanner::greedy()
         .stretch(STRETCH)
@@ -84,13 +95,23 @@ fn live_server(g: &WeightedGraph, threads: usize) -> SpannerServer {
         .finish()
 }
 
+/// Builds one backend kind at a thread count.
+type ServerFn = fn(&WeightedGraph, usize) -> SpannerServer;
+
+/// Every backend kind.
+const KINDS: [(&str, ServerFn); 3] = [
+    ("frozen", frozen_server),
+    ("live", live_server),
+    ("sharded", sharded_server),
+];
+
 /// `None` = shed, `Some(answers)` = admitted and answered.
 type Outcome = Vec<Option<Vec<Answer>>>;
 
 /// Drives the fixed schedule through a freshly configured router over
 /// `backend` and records per-batch outcomes. Limiter, knee and clock seed
 /// are part of the contract under test — identical everywhere.
-fn run_schedule<B: greedy_spanner::runtime::Backend>(backend: B) -> Outcome {
+fn run_schedule(backend: SpannerServer) -> Outcome {
     let mut router = Router::over(backend)
         .limiter(Limiter::aimd(AimdLimit::new(16)))
         .virtual_clock(VirtualClock::seeded(CLOCK_SEED))
@@ -121,32 +142,14 @@ fn shed_pattern(outcome: &Outcome) -> Vec<bool> {
 #[test]
 fn admission_partition_and_answers_are_identical_across_thread_counts() {
     let g = graph();
-    for (kind, build) in [
-        (
-            "frozen",
-            &(|t| run_schedule(frozen_server(&g, t))) as &dyn Fn(usize) -> Outcome,
-        ),
-        ("live", &|t| run_schedule(live_server(&g, t))),
-        ("sharded", &|t| {
-            run_schedule(
-                ShardedSpanner::greedy()
-                    .stretch(STRETCH)
-                    .shards(3)
-                    .build(&g)
-                    .expect("sharded build")
-                    .serve()
-                    .threads(t)
-                    .finish(),
-            )
-        }),
-    ] {
-        let reference = build(THREAD_COUNTS[0]);
+    for (kind, server) in KINDS {
+        let reference = run_schedule(server(&g, THREAD_COUNTS[0]));
         assert!(
             reference.iter().any(Option::is_some) && reference.iter().any(Option::is_none),
             "{kind}: the schedule must exercise both admission and shedding"
         );
         for &threads in &THREAD_COUNTS[1..] {
-            let outcome = build(threads);
+            let outcome = run_schedule(server(&g, threads));
             assert_eq!(
                 outcome, reference,
                 "{kind}: outcome diverged at threads={threads}"
@@ -160,16 +163,7 @@ fn shed_partition_is_identical_across_backend_kinds() {
     let g = graph();
     let frozen = run_schedule(frozen_server(&g, 2));
     let live = run_schedule(live_server(&g, 2));
-    let sharded = run_schedule(
-        ShardedSpanner::greedy()
-            .stretch(STRETCH)
-            .shards(3)
-            .build(&g)
-            .expect("sharded build")
-            .serve()
-            .threads(2)
-            .finish(),
-    );
+    let sharded = run_schedule(sharded_server(&g, 2));
     // The shed decision never consults the backend (only batch shape, the
     // limiter and the virtual clock), so the partition is one and the same.
     assert_eq!(shed_pattern(&frozen), shed_pattern(&live));
@@ -180,36 +174,21 @@ fn shed_partition_is_identical_across_backend_kinds() {
 fn admitted_answers_match_the_unlimited_path_bit_for_bit() {
     let g = graph();
     let batches = schedule();
-    for &threads in &THREAD_COUNTS {
-        let outcome = run_schedule(frozen_server(&g, threads));
-        // An identically built twin answers every batch on the pre-runtime
-        // unlimited path — whole batches, no admission, no chunking.
-        let mut twin = frozen_server(&g, threads);
-        for (batch, result) in batches.iter().zip(&outcome) {
-            let unlimited = twin.answer_batch_unlimited(batch).expect("valid batch");
-            if let Some(admitted) = result {
-                assert_eq!(
-                    admitted, &unlimited,
-                    "chunked dispatch changed an answer at threads={threads}"
-                );
+    for (kind, server) in KINDS {
+        for &threads in &THREAD_COUNTS {
+            let outcome = run_schedule(server(&g, threads));
+            // An identically built twin answers every batch directly —
+            // whole batches, no admission, no chunking.
+            let mut twin = server(&g, threads);
+            for (batch, result) in batches.iter().zip(&outcome) {
+                let direct = twin.answer_batch(batch).expect("valid batch");
+                if let Some(admitted) = result {
+                    assert_eq!(
+                        admitted, &direct,
+                        "{kind}: chunked dispatch changed an answer at threads={threads}"
+                    );
+                }
             }
         }
     }
-}
-
-#[test]
-fn unlimited_shim_never_sheds_and_matches_direct_dispatch() {
-    let g = graph();
-    let mut shim = frozen_server(&g, 2);
-    let mut direct = frozen_server(&g, 2);
-    for batch in schedule() {
-        let via_shim = shim.answer_batch(&batch).expect("unlimited never sheds");
-        let unlimited = direct.answer_batch_unlimited(&batch).expect("valid batch");
-        assert_eq!(via_shim, unlimited);
-    }
-    let stats = shim.stats();
-    let total: u64 = schedule().iter().map(|b| b.len() as u64).sum();
-    assert_eq!(stats.admitted, total);
-    assert_eq!(stats.shed, 0);
-    assert_eq!(stats.queued, 0);
 }
