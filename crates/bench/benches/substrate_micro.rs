@@ -18,9 +18,7 @@ use spanner_bench::workloads::{random_graph, uniform_square, DEFAULT_SEED};
 use spanner_graph::dijkstra::{bounded_distance, shortest_path_tree};
 use spanner_graph::mst::kruskal;
 use spanner_graph::parallel::EnginePool;
-use spanner_graph::{
-    CsrGraph, DijkstraEngine, Landmarks, QueuePolicy, RelaxKernel, VertexId, WeightedGraph,
-};
+use spanner_graph::{CsrGraph, DijkstraEngine, Landmarks, RelaxKernel, VertexId, WeightedGraph};
 use spanner_metric::net::NetHierarchy;
 use spanner_metric::wspd::{well_separated_pairs, SplitTree};
 
@@ -124,11 +122,11 @@ fn bench_substrates(c: &mut Criterion) {
 
 /// The acceleration-stack comparison the serving layer leans on: the same
 /// bounded point-query batch over the **er2000 greedy spanner** through
-/// three engine configurations — binary heap, bucket queue, and bucket
-/// queue + ALT landmark pruning. Before timing anything, the settled-vertex
-/// counts of the heap and ALT configurations are measured from engine
-/// stats (outside the timed region) and the heap/ALT ratio is asserted
-/// `> 1.0` — the acceptance gate for the pruning stack. The `BENCH_JSON`
+/// three engine configurations — the plain scalar search, ALT landmark
+/// pruning, and the batched relax kernel. Before timing anything, the
+/// settled-vertex counts of the heap and ALT configurations are measured
+/// from engine stats (outside the timed region) and the heap/ALT ratio is
+/// asserted `> 1.0` — the acceptance gate for the pruning stack. The `BENCH_JSON`
 /// artifact carries the timed rows; the printed `point_query_settled` line
 /// carries the ratio.
 fn bench_point_query_engines(c: &mut Criterion) {
@@ -144,9 +142,7 @@ fn bench_point_query_engines(c: &mut Criterion) {
     let n = csr.num_vertices();
 
     let mut heap_engine = DijkstraEngine::with_capacity(n);
-    heap_engine.set_queue_policy(QueuePolicy::Heap);
     heap_engine.set_relax_kernel(RelaxKernel::Scalar);
-    let mut bucket_engine = DijkstraEngine::with_capacity(n);
     let mut alt_engine = DijkstraEngine::with_capacity(n);
     let mut batched_engine = DijkstraEngine::with_capacity(n);
     batched_engine.set_relax_kernel(RelaxKernel::Batched);
@@ -168,16 +164,14 @@ fn bench_point_query_engines(c: &mut Criterion) {
             .count()
     };
 
-    // The acceptance gate, measured outside the timed region: the three
+    // The acceptance gate, measured outside the timed region: the
     // configurations agree on every answer, and ALT pruning settles
     // strictly fewer vertices than the plain heap on the same batch.
     let heap_hits = run_heap(&mut heap_engine);
     // Snapshot before the digest gate below runs the same batch through
     // `heap_engine` again: both sides of the ratio count one pass.
     let settled_heap = heap_engine.stats().settled_vertices;
-    let bucket_hits = run_heap(&mut bucket_engine);
     let alt_hits = run_alt(&mut alt_engine);
-    assert_eq!(heap_hits, bucket_hits, "bucket queue changed an answer");
     assert_eq!(heap_hits, alt_hits, "landmark pruning changed an answer");
     // The kernel digest gate: scalar and batched engines must return
     // bit-identical distances for the whole batch, in order.
@@ -190,9 +184,8 @@ fn bench_point_query_engines(c: &mut Criterion) {
     let settled_alt = alt_engine.stats().settled_vertices;
     let reduction = settled_heap as f64 / (settled_alt as f64).max(1.0);
     println!(
-        "point_query_settled: heap {settled_heap} bucket {} alt {settled_alt} \
+        "point_query_settled: heap {settled_heap} alt {settled_alt} \
          ({reduction:.2}x settled-vertex reduction, pruned {} by bound/landmarks)",
-        bucket_engine.stats().settled_vertices,
         alt_engine.stats().pruned_by_bound,
     );
     assert!(
@@ -204,8 +197,7 @@ fn bench_point_query_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("point_query_engines");
     group.sample_size(20);
     group.bench_function("heap_n2000", |b| b.iter(|| run_heap(&mut heap_engine)));
-    group.bench_function("bucket_n2000", |b| b.iter(|| run_heap(&mut bucket_engine)));
-    group.bench_function("bucket_alt_n2000", |b| b.iter(|| run_alt(&mut alt_engine)));
+    group.bench_function("alt_n2000", |b| b.iter(|| run_alt(&mut alt_engine)));
     group.bench_function("batched_kernel_n2000", |b| {
         b.iter(|| run_heap(&mut batched_engine))
     });
@@ -247,10 +239,8 @@ fn bench_relax_kernel(c: &mut Criterion) {
         .collect();
 
     let mut scalar = DijkstraEngine::with_capacity_for(n, big.num_edges());
-    scalar.set_queue_policy(QueuePolicy::Heap);
     scalar.set_relax_kernel(RelaxKernel::Scalar);
     let mut batched = DijkstraEngine::with_capacity_for(n, big.num_edges());
-    batched.set_queue_policy(QueuePolicy::Heap);
     batched.set_relax_kernel(RelaxKernel::Batched);
 
     assert_eq!(

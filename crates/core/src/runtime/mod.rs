@@ -6,10 +6,10 @@
 //! the runtime adds backpressure, prioritization and overload behavior on
 //! top, in three pieces:
 //!
-//! * [`Backend`] — what the router fronts: validate a batch, dispatch it
-//!   (the server's direct path, bit-identical at every thread count),
-//!   report engine occupancy. Frozen, live and sharded-build servers are
-//!   all one [`SpannerServer`](crate::serve::SpannerServer) type.
+//! * [`Backend`] — what the router fronts: validate a batch and dispatch
+//!   it (the server's direct path, bit-identical at every thread count).
+//!   Frozen, live and sharded-build servers are all one
+//!   [`SpannerServer`](crate::serve::SpannerServer) type.
 //! * [`Router`] — the front door. [`Router::submit`] classifies work into
 //!   per-[`QosClass`] FIFO queues (interactive point queries preempt bulk
 //!   sweeps), acquires budget from a dynamic concurrency limiter before
@@ -129,10 +129,6 @@ pub trait Backend {
     /// insensitive to batch boundaries: dispatching a batch in chunks
     /// yields the same answers as dispatching it whole.
     fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError>;
-
-    /// Engine worker units currently occupied (the engine pool's inflight
-    /// gauge) — observability for admission layers.
-    fn occupancy(&self) -> usize;
 }
 
 /// Handle to a batch accepted by [`Router::offer`]; redeem it with
@@ -533,7 +529,6 @@ mod tests {
     #[derive(Debug, Default)]
     struct EchoBackend {
         chunks: Vec<usize>,
-        occupancy: usize,
     }
 
     impl Backend for EchoBackend {
@@ -554,10 +549,6 @@ mod tests {
                 .iter()
                 .map(|_| Answer::Distance(Some(1.0)))
                 .collect())
-        }
-
-        fn occupancy(&self) -> usize {
-            self.occupancy
         }
     }
 

@@ -57,15 +57,13 @@
 //!
 //! # The point-query acceleration stack
 //!
-//! Three answer-invariant accelerations sit in the serving hot path; all
-//! are on by default for fresh build outputs and all are pure speed knobs
-//! — `tests/engine_variant_determinism.rs` asserts bit-identical answers
+//! Every engine search runs on one frontier, a lazy-deletion binary heap
+//! that pops in exact `(distance, vertex)` order. Three answer-invariant
+//! accelerations sit in the serving hot path; all are on by default for
+//! fresh build outputs and all are pure speed knobs —
+//! `tests/engine_variant_determinism.rs` asserts bit-identical answers
 //! across every combination:
 //!
-//! * **Bucket-queue search** ([`ServeBuilder::queue_policy`]): bounded
-//!   point queries run on a delta-stepping-style bucket queue instead of
-//!   the binary heap whenever the bound and the spanner's weight
-//!   statistics allow (see `spanner_graph::bucket_queue`).
 //! * **Cache-conscious relayout** ([`ServeBuilder::reorder`]): the spanner
 //!   is renumbered by descending degree at freeze time
 //!   ([`SpannerHandle::reordered`]); queries and answers are translated at
@@ -119,8 +117,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use spanner_graph::{
-    CsrGraph, DijkstraEngine, EnginePool, EngineStats, KernelStats, Landmarks, QueuePolicy,
-    RelaxKernel, SptTree, VertexId, VertexPerm, WeightedGraph,
+    CsrGraph, DijkstraEngine, EnginePool, EngineStats, KernelStats, Landmarks, RelaxKernel,
+    SptTree, VertexId, VertexPerm, WeightedGraph,
 };
 
 use crate::algorithm::{Provenance, SpannerConfig, SpannerOutput};
@@ -1258,10 +1256,6 @@ impl Backend for SpannerServer {
     fn dispatch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
         self.answer_batch(queries)
     }
-
-    fn occupancy(&self) -> usize {
-        self.pool.inflight()
-    }
 }
 
 /// The boundary-skeleton clamp a server built by [`ShardedOutput::serve`]
@@ -1500,7 +1494,6 @@ pub struct ServeBuilder {
     cache_capacity: usize,
     cache_admit_threshold: usize,
     baseline: Option<WeightedGraph>,
-    queue_policy: QueuePolicy,
     /// `None` = default (reorder fresh outputs, keep a handle's layout).
     reorder: Option<bool>,
     /// `None` = default ([`DEFAULT_LANDMARK_COUNT`] for fresh outputs and
@@ -1530,7 +1523,6 @@ impl ServeBuilder {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_admit_threshold: DEFAULT_CACHE_ADMIT_THRESHOLD,
             baseline: None,
-            queue_policy: QueuePolicy::Auto,
             reorder: None,
             landmark_count: None,
             relax_kernel: RelaxKernel::Auto,
@@ -1565,15 +1557,6 @@ impl ServeBuilder {
     /// eagerly; high values reserve the cache for genuine hotspots.
     pub fn cache_admit_threshold(mut self, threshold: usize) -> Self {
         self.cache_admit_threshold = threshold.max(1);
-        self
-    }
-
-    /// Which frontier the serving engines use for bounded queries.
-    /// [`QueuePolicy::Auto`] (the default) picks the bucket queue whenever
-    /// the query bound and the spanner's weight statistics allow; answers
-    /// are bit-identical at every setting — this is purely a speed knob.
-    pub fn queue_policy(mut self, policy: QueuePolicy) -> Self {
-        self.queue_policy = policy;
         self
     }
 
@@ -1687,7 +1670,6 @@ impl ServeBuilder {
                 Served::Frozen(_) => 0,
             });
         let mut pool = EnginePool::with_capacity_for(threads, n, m);
-        pool.set_queue_policy(self.queue_policy);
         pool.set_relax_kernel(self.relax_kernel);
         SpannerServer {
             served,
@@ -2236,46 +2218,35 @@ mod tests {
                 }
             })
             .collect();
-        // Reference: heap queue, identity layout, no landmarks.
+        // Reference: identity layout, no landmarks.
         let mut reference_server = output
             .clone()
             .serve()
-            .queue_policy(QueuePolicy::Heap)
             .reorder(false)
             .landmarks(0)
             .audit_against(&g)
             .finish();
         let reference = reference_server.answer_batch(&queries).unwrap();
         // Every acceleration combination must reproduce it bit for bit.
-        for (policy, reorder, landmarks) in [
-            (QueuePolicy::Auto, false, 0),
-            (QueuePolicy::Auto, true, 0),
-            (QueuePolicy::Heap, true, 4),
-            (QueuePolicy::Auto, true, 4),
-            (QueuePolicy::Auto, true, 16),
-        ] {
+        for (reorder, landmarks) in [(false, 0), (true, 0), (false, 4), (true, 4), (true, 16)] {
             let mut server = output
                 .clone()
                 .serve()
-                .queue_policy(policy)
                 .reorder(reorder)
                 .landmarks(landmarks)
                 .audit_against(&g)
                 .finish();
             let cold = server.answer_batch(&queries).unwrap();
             let warm = server.answer_batch(&queries).unwrap();
-            assert_eq!(
-                cold, reference,
-                "policy={policy:?} reorder={reorder} landmarks={landmarks}"
-            );
+            assert_eq!(cold, reference, "reorder={reorder} landmarks={landmarks}");
             assert_eq!(
                 warm, reference,
-                "warm, policy={policy:?} reorder={reorder} landmarks={landmarks}"
+                "warm, reorder={reorder} landmarks={landmarks}"
             );
             let engine = server.engine_stats();
             assert_eq!(
                 engine.reuse_hits, engine.queries,
-                "policy={policy:?} reorder={reorder} landmarks={landmarks}: engine allocated"
+                "reorder={reorder} landmarks={landmarks}: engine allocated"
             );
         }
     }

@@ -42,7 +42,6 @@
 
 use std::collections::BinaryHeap;
 
-use crate::bucket_queue::{bucket_delta, BucketQueue, HeapSlot};
 use crate::csr::CsrGraph;
 use crate::graph::VertexId;
 use crate::landmarks::Landmarks;
@@ -200,8 +199,8 @@ pub struct EngineStats {
     /// sized on the fly reports the (few) growth queries as misses.
     pub reuse_hits: u64,
     /// Total heap pops across all queries, including stale lazy-deletion
-    /// entries (the same accounting as the legacy free functions; bucket
-    /// queue pops are counted here too).
+    /// entries (the same accounting as the legacy free functions; the
+    /// batched kernel's cohort-drain pops are counted here too).
     pub heap_pops: u64,
     /// Vertices settled (popped fresh and expanded) across all queries —
     /// always at most `heap_pops`. This is the work metric landmark (ALT)
@@ -265,22 +264,6 @@ impl KernelStats {
     }
 }
 
-/// Which priority queue a query runs on; see
-/// [`DijkstraEngine::set_queue_policy`] and the [queue selection
-/// rule](crate::bucket_queue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueuePolicy {
-    /// Pick per query: the bucket queue for bounded queries whose
-    /// `(bound, weight statistics)` pass [`crate::bucket_queue`]'s
-    /// eligibility rule, the binary heap otherwise (unbounded searches,
-    /// edgeless graphs, degenerate widths). Answers and settle order are
-    /// bit-identical either way — this is purely a performance choice.
-    #[default]
-    Auto,
-    /// Always the lazy-deletion binary heap (the reference queue).
-    Heap,
-}
-
 /// Which relaxation kernel a query runs — the scalar reference loop (one
 /// dependent `dist`/`state` load per half-edge) or the batched gather →
 /// filter → commit kernel (whole same-cohort queue drains staged into a
@@ -288,8 +271,7 @@ pub enum QueuePolicy {
 /// compaction). See [`DijkstraEngine::set_relax_kernel`].
 ///
 /// Answers, settle order and every non-[`KernelStats`] counter are
-/// bit-identical under every setting — like [`QueuePolicy`], this is purely
-/// a performance choice.
+/// bit-identical under every setting — this is purely a performance choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RelaxKernel {
     /// Pick per query: the batched kernel when adjacency rows are long
@@ -306,66 +288,44 @@ pub enum RelaxKernel {
     Batched,
 }
 
-/// What a search loop needs from its priority queue. Implemented by the
-/// lazy-deletion [`BinaryHeap`] and by [`BucketQueue`]; both pop in exactly
-/// non-decreasing `(key, vertex)` order, which is why every engine answer is
-/// bit-identical across queue implementations.
-trait Frontier {
-    fn push(&mut self, key: f64, vertex: u32);
-    fn pop(&mut self) -> Option<(f64, u32)>;
-    /// Pops the global minimum only when its key is strictly below
-    /// `threshold` — the batched kernel's cohort drain, which collects every
-    /// entry provably settleable in one pass without disturbing the exact
-    /// pop order of the rest.
-    fn pop_if_below(&mut self, threshold: f64) -> Option<(f64, u32)>;
-    fn len(&self) -> usize;
+/// One priority-queue entry: the key is stored alongside the vertex so
+/// comparisons stay inside the heap array instead of chasing `dist`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HeapSlot {
+    dist: f64,
+    vertex: u32,
 }
 
-impl Frontier for BinaryHeap<HeapSlot> {
-    #[inline(always)]
-    fn push(&mut self, key: f64, vertex: u32) {
-        BinaryHeap::push(self, HeapSlot { dist: key, vertex });
-    }
+impl Eq for HeapSlot {}
 
-    #[inline(always)]
-    fn pop(&mut self) -> Option<(f64, u32)> {
-        BinaryHeap::pop(self).map(|slot| (slot.dist, slot.vertex))
-    }
-
-    #[inline(always)]
-    fn pop_if_below(&mut self, threshold: f64) -> Option<(f64, u32)> {
-        if self.peek()?.dist < threshold {
-            BinaryHeap::pop(self).map(|slot| (slot.dist, slot.vertex))
-        } else {
-            None
-        }
-    }
-
-    #[inline(always)]
-    fn len(&self) -> usize {
-        BinaryHeap::len(self)
+impl Ord for HeapSlot {
+    /// Reversed, so the max-heap pops the smallest distance first, ties by
+    /// smaller vertex id (matching the legacy free functions, so settle
+    /// order is identical).
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .dist
+            .total_cmp(&self.dist)
+            .then_with(|| other.vertex.cmp(&self.vertex))
     }
 }
 
-impl Frontier for BucketQueue {
-    #[inline(always)]
-    fn push(&mut self, key: f64, vertex: u32) {
-        BucketQueue::push(self, key, vertex);
+impl PartialOrd for HeapSlot {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    #[inline(always)]
-    fn pop(&mut self) -> Option<(f64, u32)> {
-        BucketQueue::pop(self)
-    }
-
-    #[inline(always)]
-    fn pop_if_below(&mut self, threshold: f64) -> Option<(f64, u32)> {
-        BucketQueue::pop_if_below(self, threshold)
-    }
-
-    #[inline(always)]
-    fn len(&self) -> usize {
-        BucketQueue::len(self)
+/// Pops the heap minimum only when its key is strictly below `threshold` —
+/// the batched kernel's cohort drain, which collects every entry provably
+/// settleable in one pass without disturbing the exact `(key, vertex)` pop
+/// order of the rest.
+#[inline(always)]
+fn pop_if_below(heap: &mut BinaryHeap<HeapSlot>, threshold: f64) -> Option<HeapSlot> {
+    if heap.peek()?.dist < threshold {
+        heap.pop()
+    } else {
+        None
     }
 }
 
@@ -445,9 +405,6 @@ pub struct DijkstraEngine {
     /// entries are skipped at pop time via `state`. The buffer is retained
     /// across queries.
     heap: BinaryHeap<HeapSlot>,
-    /// The bounded-query bucket queue (see [`crate::bucket_queue`]); its
-    /// buffers are likewise retained across queries.
-    bucket: BucketQueue,
     /// Per-query landmark target column (see [`Landmarks`]); retained
     /// across queries like every other buffer.
     h_scratch: Vec<f64>,
@@ -464,7 +421,6 @@ pub struct DijkstraEngine {
     /// Candidate indices (into the gather lanes) that survived the
     /// branchless filter of one row, awaiting the exact relax step.
     commit: Vec<u32>,
-    queue_policy: QueuePolicy,
     relax_kernel: RelaxKernel,
     generation: u32,
     stats: EngineStats,
@@ -506,7 +462,6 @@ impl DijkstraEngine {
         let mut e = DijkstraEngine::new();
         e.grow(num_vertices);
         e.reserve_heap(2 * num_edges + 2);
-        e.bucket.reserve(2 * num_edges + 2);
         if e.h_scratch.capacity() < LANDMARK_SCRATCH_RESERVE {
             e.h_scratch.reserve_exact(LANDMARK_SCRATCH_RESERVE);
         }
@@ -528,18 +483,6 @@ impl DijkstraEngine {
             e.commit.reserve_exact(2 * num_edges + 2);
         }
         e
-    }
-
-    /// Sets the queue-selection policy for subsequent queries (default:
-    /// [`QueuePolicy::Auto`]). Answers are bit-identical under every
-    /// policy; this only trades constant factors.
-    pub fn set_queue_policy(&mut self, policy: QueuePolicy) {
-        self.queue_policy = policy;
-    }
-
-    /// The current queue-selection policy.
-    pub fn queue_policy(&self) -> QueuePolicy {
-        self.queue_policy
     }
 
     /// Sets the relaxation-kernel policy for subsequent queries (default:
@@ -574,7 +517,7 @@ impl DijkstraEngine {
 
     /// The combined capacity of the batched kernel's scratch buffers —
     /// compared before and after a query for the workspace-reuse
-    /// accounting, like [`BucketQueue::capacity_signature`].
+    /// accounting, like the heap's capacity.
     fn gather_capacity_signature(&self) -> usize {
         self.gather_targets.capacity()
             + self.gather_weights.capacity()
@@ -732,9 +675,9 @@ impl DijkstraEngine {
     /// happens, so `peak_frontier` adds them back to stay bit-identical.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn relax<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn relax<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         u: u32,
         v: usize,
@@ -767,7 +710,10 @@ impl DijkstraEngine {
             if TRACK_PARENTS {
                 self.parent[v] = u;
             }
-            queue.push(nd, v as u32);
+            queue.push(HeapSlot {
+                dist: nd,
+                vertex: v as u32,
+            });
             self.last_frontier = self.last_frontier.max(queue.len() + lag);
         }
     }
@@ -778,9 +724,9 @@ impl DijkstraEngine {
     /// pending-deletions and fast paths share it so they cannot drift.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn relax_row<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn relax_row<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         u: u32,
@@ -800,7 +746,7 @@ impl DijkstraEngine {
                     continue;
                 }
             }
-            self.relax::<TRACK_PARENTS, Q, H>(
+            self.relax::<TRACK_PARENTS, H>(
                 queue,
                 h,
                 u,
@@ -815,7 +761,7 @@ impl DijkstraEngine {
         // Live overflow half-edges appended since the last re-pack (short;
         // the iterator itself skips tombstoned entries).
         for (v, w) in graph.overflow_neighbors(VertexId(u as usize)) {
-            self.relax::<TRACK_PARENTS, Q, H>(queue, h, u, v as usize, w, d, gen, bound, 0);
+            self.relax::<TRACK_PARENTS, H>(queue, h, u, v as usize, w, d, gen, bound, 0);
         }
     }
 
@@ -830,9 +776,9 @@ impl DijkstraEngine {
     /// exceeds the bound (or proves the pair disconnected), the search is
     /// over before it starts and the source is never touched.
     #[allow(clippy::too_many_arguments)]
-    fn search<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn search<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         source: usize,
@@ -854,9 +800,12 @@ impl DijkstraEngine {
             self.parent[source] = NO_VERTEX;
         }
         self.state[source] = gen;
-        queue.push(0.0, source as u32);
+        queue.push(HeapSlot {
+            dist: 0.0,
+            vertex: source as u32,
+        });
         self.last_frontier = self.last_frontier.max(queue.len());
-        while let Some((d, u)) = queue.pop() {
+        while let Some(HeapSlot { dist: d, vertex: u }) = queue.pop() {
             self.stats.heap_pops += 1;
             if self.state[u as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
@@ -869,7 +818,7 @@ impl DijkstraEngine {
             if Some(u) == target {
                 break;
             }
-            self.relax_row::<TRACK_PARENTS, Q, H>(
+            self.relax_row::<TRACK_PARENTS, H>(
                 queue,
                 h,
                 graph,
@@ -917,9 +866,9 @@ impl DijkstraEngine {
     ///    under intra-row mutation: distances only decrease, nothing
     ///    settles mid-row, and the bound comparison is static.
     #[allow(clippy::too_many_arguments)]
-    fn search_batched<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn search_batched<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         source: usize,
@@ -940,7 +889,10 @@ impl DijkstraEngine {
             self.parent[source] = NO_VERTEX;
         }
         self.state[source] = gen;
-        queue.push(0.0, source as u32);
+        queue.push(HeapSlot {
+            dist: 0.0,
+            vertex: source as u32,
+        });
         self.last_frontier = self.last_frontier.max(queue.len());
         // Cohort slack: every queued key strictly below `popped key + slack`
         // can be drained alongside the popped minimum (see the doc comment).
@@ -953,7 +905,11 @@ impl DijkstraEngine {
         let mut gather_weights = std::mem::take(&mut self.gather_weights);
         let mut rows = std::mem::take(&mut self.rows);
         let mut commit = std::mem::take(&mut self.commit);
-        'outer: while let Some((d0, u0)) = queue.pop() {
+        'outer: while let Some(HeapSlot {
+            dist: d0,
+            vertex: u0,
+        }) = queue.pop()
+        {
             self.stats.heap_pops += 1;
             if self.state[u0 as usize] == gen + 1 {
                 continue; // stale lazy-deletion entry
@@ -981,7 +937,7 @@ impl DijkstraEngine {
                 drained,
             );
             while !hit_target && rows.len() < MAX_COHORT_ROWS && staged_edges < GATHER_RING_CAP {
-                let Some((d, u)) = queue.pop_if_below(threshold) else {
+                let Some(HeapSlot { dist: d, vertex: u }) = pop_if_below(queue, threshold) else {
                     break;
                 };
                 self.stats.heap_pops += 1;
@@ -1079,7 +1035,7 @@ impl DijkstraEngine {
                     self.filter_row(targets, weights, d, gen, bound, &mut commit);
                     for &j in &commit {
                         let j = j as usize;
-                        self.relax::<TRACK_PARENTS, Q, H>(
+                        self.relax::<TRACK_PARENTS, H>(
                             queue,
                             h,
                             u,
@@ -1102,7 +1058,7 @@ impl DijkstraEngine {
                     );
                     for &j in &commit {
                         let j = start + j as usize;
-                        self.relax::<TRACK_PARENTS, Q, H>(
+                        self.relax::<TRACK_PARENTS, H>(
                             queue,
                             h,
                             u,
@@ -1128,10 +1084,10 @@ impl DijkstraEngine {
     /// kernel; `batched` is resolved once per query by
     /// [`DijkstraEngine::use_batched_kernel`].
     #[allow(clippy::too_many_arguments)]
-    fn search_dispatch<const TRACK_PARENTS: bool, Q: Frontier, H: Heuristic>(
+    fn search_dispatch<const TRACK_PARENTS: bool, H: Heuristic>(
         &mut self,
         batched: bool,
-        queue: &mut Q,
+        queue: &mut BinaryHeap<HeapSlot>,
         h: &H,
         graph: &CsrGraph,
         source: usize,
@@ -1141,21 +1097,21 @@ impl DijkstraEngine {
         source_h: f64,
     ) {
         if batched {
-            self.search_batched::<TRACK_PARENTS, Q, H>(
+            self.search_batched::<TRACK_PARENTS, H>(
                 queue, h, graph, source, target, bound, collect, source_h,
             );
         } else {
-            self.search::<TRACK_PARENTS, Q, H>(
+            self.search::<TRACK_PARENTS, H>(
                 queue, h, graph, source, target, bound, collect, source_h,
             );
         }
     }
 
     /// Query entry point: validates, advances the generation, resolves the
-    /// queue (per [`QueuePolicy`]) and the landmark heuristic, runs the
-    /// monomorphized search, and keeps the workspace-reuse accounting (a
-    /// query is a reuse hit only if **no** buffer — vertex arrays, either
-    /// queue, or the landmark scratch — grew).
+    /// landmark heuristic, runs the monomorphized search, and keeps the
+    /// workspace-reuse accounting (a query is a reuse hit only if **no**
+    /// buffer — vertex arrays, the heap, the gather scratch, or the landmark
+    /// scratch — grew).
     fn run_query<const TRACK_PARENTS: bool>(
         &mut self,
         graph: &CsrGraph,
@@ -1188,90 +1144,35 @@ impl DijkstraEngine {
         }
         grew |= self.begin_query(n);
         let s = source.index();
-        let delta = match self.queue_policy {
-            QueuePolicy::Auto => bucket_delta(graph, bound),
-            QueuePolicy::Heap => None,
-        };
         let batched = self.use_batched_kernel(graph);
         let gather_cap = self.gather_capacity_signature();
-        let reused = match (delta, lm) {
-            (None, None) => {
-                let mut heap = std::mem::take(&mut self.heap);
-                let cap = heap.capacity();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
-                    batched,
-                    &mut heap,
-                    &NoHeuristic,
-                    graph,
-                    s,
-                    target,
-                    bound,
-                    collect,
-                    0.0,
-                );
-                let ok = heap.capacity() == cap;
-                self.heap = heap;
-                ok
-            }
-            (Some(delta), None) => {
-                let mut bucket = std::mem::take(&mut self.bucket);
-                bucket.begin(delta, bound);
-                let cap = bucket.capacity_signature();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
-                    batched,
-                    &mut bucket,
-                    &NoHeuristic,
-                    graph,
-                    s,
-                    target,
-                    bound,
-                    collect,
-                    0.0,
-                );
-                let ok = bucket.capacity_signature() == cap;
-                self.bucket = bucket;
-                ok
-            }
-            (None, Some(lm)) => {
+        let mut heap = std::mem::take(&mut self.heap);
+        let heap_cap = heap.capacity();
+        match lm {
+            None => self.search_dispatch::<TRACK_PARENTS, _>(
+                batched,
+                &mut heap,
+                &NoHeuristic,
+                graph,
+                s,
+                target,
+                bound,
+                collect,
+                0.0,
+            ),
+            Some(lm) => {
                 let h = LandmarkHeuristic {
                     table: lm.table(),
                     target_column: &scratch,
                 };
                 let source_h = h.estimate(s);
-                let mut heap = std::mem::take(&mut self.heap);
-                let cap = heap.capacity();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
+                self.search_dispatch::<TRACK_PARENTS, _>(
                     batched, &mut heap, &h, graph, s, target, bound, collect, source_h,
                 );
-                let ok = heap.capacity() == cap;
-                self.heap = heap;
-                ok
             }
-            (Some(delta), Some(lm)) => {
-                let h = LandmarkHeuristic {
-                    table: lm.table(),
-                    target_column: &scratch,
-                };
-                let source_h = h.estimate(s);
-                let mut bucket = std::mem::take(&mut self.bucket);
-                bucket.begin(delta, bound);
-                let cap = bucket.capacity_signature();
-                self.search_dispatch::<TRACK_PARENTS, _, _>(
-                    batched,
-                    &mut bucket,
-                    &h,
-                    graph,
-                    s,
-                    target,
-                    bound,
-                    collect,
-                    source_h,
-                );
-                let ok = bucket.capacity_signature() == cap;
-                self.bucket = bucket;
-                ok
-            }
-        };
+        }
+        let reused = heap.capacity() == heap_cap;
+        self.heap = heap;
         let reused = reused && self.gather_capacity_signature() == gather_cap;
         self.h_scratch = scratch;
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.last_frontier);
@@ -1389,11 +1290,10 @@ impl DijkstraEngine {
     /// buffer and is valid until the next query.
     ///
     /// **Tie handling.** Vertices at equal distance appear in ascending
-    /// vertex-id order. This holds for *every* queue implementation the
-    /// engine selects (binary heap and bucket queue alike): both pop in
-    /// exact `(distance, vertex)` order, so the settle order — and therefore
+    /// vertex-id order: the binary heap pops in exact `(distance, vertex)`
+    /// order under both relax kernels, so the settle order — and therefore
     /// this slice, and any [`SptTree::k_nearest`] truncation derived from
-    /// it — is identical across [`QueuePolicy`] settings.
+    /// it — matches the reference [`crate::dijkstra::ball`] exactly.
     ///
     /// # Panics
     ///
@@ -1626,8 +1526,7 @@ impl SptTree {
     ///
     /// **Tie handling.** Equal-distance vertices are ordered by ascending
     /// vertex id, so the truncation point at a distance tie is
-    /// deterministic and identical across queue implementations (see
-    /// [`DijkstraEngine::ball`]).
+    /// deterministic and identical to [`DijkstraEngine::ball`]'s.
     pub fn k_nearest(&self, k: usize) -> Vec<(VertexId, f64)> {
         self.members[..k.min(self.members.len())].to_vec()
     }
@@ -2071,10 +1970,9 @@ mod tests {
     fn settled_and_pruned_counters_are_monotone_sane() {
         let g = diamond();
         let csr = CsrGraph::from(&g);
-        for policy in [QueuePolicy::Heap, QueuePolicy::Auto] {
+        for kernel in [RelaxKernel::Scalar, RelaxKernel::Batched] {
             let mut e = DijkstraEngine::new();
-            e.set_queue_policy(policy);
-            assert_eq!(e.queue_policy(), policy);
+            e.set_relax_kernel(kernel);
             let stats0 = e.stats();
             assert_eq!(stats0.settled_vertices, 0);
             assert_eq!(stats0.pruned_by_bound, 0);
@@ -2082,14 +1980,14 @@ mod tests {
             // vertex 3 are pruned.
             e.bounded_distance(&csr, VertexId(0), VertexId(2), 2.0);
             let s1 = e.stats();
-            assert!(s1.settled_vertices >= 1, "{policy:?}: source must settle");
+            assert!(s1.settled_vertices >= 1, "{kernel:?}: source must settle");
             assert!(
                 s1.settled_vertices <= s1.heap_pops,
-                "{policy:?}: every settle consumes a pop"
+                "{kernel:?}: every settle consumes a pop"
             );
             assert!(
                 s1.pruned_by_bound >= 1,
-                "{policy:?}: the weight-5 edge must be pruned at bound 2"
+                "{kernel:?}: the weight-5 edge must be pruned at bound 2"
             );
             // An unbounded SPT settles the whole component, prunes nothing new.
             e.shortest_path_tree(&csr, VertexId(0));
@@ -2112,28 +2010,22 @@ mod tests {
             }
         }
         let csr = CsrGraph::from(&g);
-        let mut heap_engine = DijkstraEngine::new();
-        heap_engine.set_queue_policy(QueuePolicy::Heap);
-        let mut auto_engine = DijkstraEngine::new();
+        let mut engine = DijkstraEngine::new();
         for case in 0..60 {
             let s = VertexId(rng.gen_range(0..n));
             let t = VertexId(rng.gen_range(0..n));
             let bound = rng.gen_range(0.1..20.0);
             assert_eq!(
-                heap_engine.bounded_distance(&csr, s, t, bound),
-                auto_engine.bounded_distance(&csr, s, t, bound),
-                "case {case}: bounded distance differs between queue policies"
+                engine.bounded_distance(&csr, s, t, bound),
+                dijkstra::bounded_distance(&g, s, t, bound),
+                "case {case}: bounded distance differs from the reference"
             );
-            let heap_ball = heap_engine.ball(&csr, s, bound).to_vec();
-            let auto_ball = auto_engine.ball(&csr, s, bound).to_vec();
             assert_eq!(
-                heap_ball, auto_ball,
-                "case {case}: ball membership/order differs between queue policies"
+                engine.ball(&csr, s, bound),
+                &dijkstra::ball(&g, s, bound)[..],
+                "case {case}: ball membership/order differs from the reference"
             );
         }
-        // Auto actually took the bucket path: it settles the same vertices
-        // but reports the same answers, so distinguish via the policy getter.
-        assert_eq!(auto_engine.queue_policy(), QueuePolicy::Auto);
     }
 
     #[test]
@@ -2224,7 +2116,7 @@ mod tests {
             let s = VertexId((i * 13) % n);
             let t = VertexId((i * 29 + 7) % n);
             let bound = 2.0 + (i % 5) as f64;
-            // Alternate bucket-only and bucket+ALT queries on one engine.
+            // Alternate plain and ALT queries on one engine.
             if i % 2 == 0 {
                 e.bounded_distance(&csr, s, t, bound);
             } else {
@@ -2234,7 +2126,7 @@ mod tests {
         let stats = e.stats();
         assert_eq!(
             stats.reuse_hits, stats.queries,
-            "a pre-sized engine must never allocate, bucket and ALT paths included"
+            "a pre-sized engine must never allocate, ALT path included"
         );
     }
 
@@ -2267,42 +2159,37 @@ mod tests {
                 }
             }
             let csr = CsrGraph::from(&g);
-            for policy in [QueuePolicy::Heap, QueuePolicy::Auto] {
-                let mut scalar = DijkstraEngine::new();
-                scalar.set_queue_policy(policy);
-                scalar.set_relax_kernel(RelaxKernel::Scalar);
-                let mut batched = DijkstraEngine::new();
-                batched.set_queue_policy(policy);
-                batched.set_relax_kernel(RelaxKernel::Batched);
-                assert_eq!(batched.relax_kernel(), RelaxKernel::Batched);
-                for case in 0..40 {
-                    let s = VertexId(rng.gen_range(0..n));
-                    let t = VertexId(rng.gen_range(0..n));
-                    let bound = rng.gen_range(0.1..18.0);
-                    assert_eq!(
-                        scalar.bounded_distance(&csr, s, t, bound),
-                        batched.bounded_distance(&csr, s, t, bound),
-                        "round {round} case {case} ({policy:?}): distance differs"
-                    );
-                    let sb = scalar.ball(&csr, s, bound).to_vec();
-                    let bb = batched.ball(&csr, s, bound).to_vec();
-                    assert_eq!(
-                        sb, bb,
-                        "round {round} case {case} ({policy:?}): ball settle order differs"
-                    );
-                }
+            let mut scalar = DijkstraEngine::new();
+            scalar.set_relax_kernel(RelaxKernel::Scalar);
+            let mut batched = DijkstraEngine::new();
+            batched.set_relax_kernel(RelaxKernel::Batched);
+            assert_eq!(batched.relax_kernel(), RelaxKernel::Batched);
+            for case in 0..80 {
+                let s = VertexId(rng.gen_range(0..n));
+                let t = VertexId(rng.gen_range(0..n));
+                let bound = rng.gen_range(0.1..18.0);
                 assert_eq!(
-                    stats_sans_kernel(scalar.stats()),
-                    stats_sans_kernel(batched.stats()),
-                    "round {round} ({policy:?}): pops/settles/prunes/frontier must be \
-                     bit-identical across kernels"
+                    scalar.bounded_distance(&csr, s, t, bound),
+                    batched.bounded_distance(&csr, s, t, bound),
+                    "round {round} case {case}: distance differs"
                 );
-                assert_eq!(scalar.stats().kernel, KernelStats::default());
-                let k = batched.stats().kernel;
-                assert!(k.rows_batched > 0, "batched kernel must have run");
-                assert!(k.candidates_committed <= k.edges_gathered);
-                assert_eq!(k.prefetch_distance, PREFETCH_DISTANCE);
+                let sb = scalar.ball(&csr, s, bound).to_vec();
+                let bb = batched.ball(&csr, s, bound).to_vec();
+                assert_eq!(
+                    sb, bb,
+                    "round {round} case {case}: ball settle order differs"
+                );
             }
+            assert_eq!(
+                stats_sans_kernel(scalar.stats()),
+                stats_sans_kernel(batched.stats()),
+                "round {round}: pops/settles/prunes/frontier must be bit-identical across kernels"
+            );
+            assert_eq!(scalar.stats().kernel, KernelStats::default());
+            let k = batched.stats().kernel;
+            assert!(k.rows_batched > 0, "batched kernel must have run");
+            assert!(k.candidates_committed <= k.edges_gathered);
+            assert_eq!(k.prefetch_distance, PREFETCH_DISTANCE);
         }
     }
 
@@ -2438,5 +2325,38 @@ mod tests {
                 prefetch_distance: 8,
             }
         );
+    }
+
+    #[test]
+    fn pop_if_below_is_strict_and_preserves_global_order() {
+        let mut heap = BinaryHeap::new();
+        let push = |heap: &mut BinaryHeap<HeapSlot>, dist: f64, vertex: u32| {
+            heap.push(HeapSlot { dist, vertex });
+        };
+        let pop = |heap: &mut BinaryHeap<HeapSlot>| heap.pop().map(|e| (e.dist, e.vertex));
+        let below = |heap: &mut BinaryHeap<HeapSlot>, threshold: f64| {
+            pop_if_below(heap, threshold).map(|e| (e.dist, e.vertex))
+        };
+        for &(k, v) in &[(0.5, 7), (9.0, 4), (0.0, 3), (2.0, 2), (0.5, 1)] {
+            push(&mut heap, k, v);
+        }
+        // Strictly below: the 0.5 entries qualify at threshold 2.0 — in
+        // exact (key, vertex) order — but the 2.0 entry does not.
+        assert_eq!(below(&mut heap, 2.0), Some((0.0, 3)));
+        assert_eq!(below(&mut heap, 2.0), Some((0.5, 1)));
+        assert_eq!(below(&mut heap, 2.0), Some((0.5, 7)));
+        assert_eq!(below(&mut heap, 2.0), None);
+        assert_eq!(heap.len(), 2, "refused entries stay queued");
+        // Interleaved pushes after a refusal still pop in global order,
+        // equal keys by ascending vertex id.
+        push(&mut heap, 2.5, 9);
+        push(&mut heap, 2.0, 8);
+        assert_eq!(pop(&mut heap), Some((2.0, 2)));
+        assert_eq!(below(&mut heap, 9.0), Some((2.0, 8)));
+        assert_eq!(below(&mut heap, 9.0), Some((2.5, 9)));
+        assert_eq!(below(&mut heap, 9.0), None, "9.0 is not strictly below 9.0");
+        assert_eq!(pop(&mut heap), Some((9.0, 4)));
+        assert_eq!(pop(&mut heap), None);
+        assert_eq!(below(&mut heap, f64::INFINITY), None, "empty queue");
     }
 }

@@ -84,16 +84,12 @@
 //!
 //! # Query engine internals
 //!
-//! Three cooperating accelerations keep the point-query hot path fast while
+//! Every search runs on one frontier: a lazy-deletion binary heap that pops
+//! in exact `(distance, vertex)` order, so distances, paths, balls, and every
+//! tie-break match the reference [`dijkstra`] free functions. Three
+//! cooperating accelerations keep the point-query hot path fast while
 //! preserving bit-identical answers:
 //!
-//! * **Queue selection** ([`QueuePolicy`]): under the default `Auto` policy a
-//!   bounded query runs on a bucket queue ([`bucket_queue`]) whenever the
-//!   bound is finite and positive and the graph's live-weight statistics
-//!   yield a usable bucket width; unbounded and degenerate queries fall back
-//!   to the binary heap. Both queues pop in exact `(distance, vertex)`
-//!   order, so distances, paths, balls, and every tie-break are bit-identical
-//!   across policies.
 //! * **Cache-conscious relayout** ([`VertexPerm`],
 //!   [`csr::CsrGraph::reorder`]): vertices can be renumbered (the serving
 //!   layer uses descending live degree at freeze time) so hot adjacency rows
@@ -130,7 +126,6 @@
 #![warn(missing_docs)]
 
 pub mod apsp;
-pub mod bucket_queue;
 pub mod builder;
 pub mod connectivity;
 pub mod csr;
@@ -150,9 +145,7 @@ pub mod union_find;
 
 pub use builder::GraphBuilder;
 pub use csr::{CompactedRebuild, CsrGraph, CsrSnapshot, DeltaOverlay, VertexPerm};
-pub use engine::{
-    DijkstraEngine, EngineStats, EngineTree, KernelStats, QueuePolicy, RelaxKernel, SptTree,
-};
+pub use engine::{DijkstraEngine, EngineStats, EngineTree, KernelStats, RelaxKernel, SptTree};
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, VertexId, WeightedGraph};
 pub use landmarks::Landmarks;
