@@ -117,6 +117,7 @@ impl SpannerAlgorithm for ApproxGreedy {
                 batch_recheck_hits: result.batch_recheck_hits,
                 threads_used: result.threads_used,
                 worker_utilization: result.worker_utilization,
+                kernel: result.kernel,
                 ..RunStats::default()
             };
             Ok((result.spanner, stats))
@@ -522,6 +523,29 @@ mod tests {
         assert!(via_trait.stats.wall_time.as_nanos() > 0);
         assert_eq!(via_trait.stats.threads_used, 1);
         assert!((via_trait.stats.worker_utilization - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn approx_greedy_reports_the_pools_kernel_counters() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        let points = uniform_points::<2, _>(60, &mut rng);
+        let input = SpannerInput::from(&points);
+        for threads in [1, 2] {
+            let config = SpannerConfig {
+                threads,
+                ..SpannerConfig::for_stretch(1.5)
+            };
+            let out = ApproxGreedy.build(&input, &config).unwrap();
+            let mut params = ApproxGreedyParams::new(config.effective_epsilon());
+            params.threads = threads;
+            let direct = run_approx_greedy(&points, params).unwrap();
+            assert!(out.stats.distance_queries > 0, "threads = {threads}");
+            assert_eq!(out.stats.kernel, direct.kernel, "threads = {threads}");
+            assert_eq!(
+                out.stats.kernel.rows_batched, 0,
+                "an in-cache simulation runs the scalar kernel"
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! experiments compare it against the exact greedy spanner's.
 
 use spanner_graph::parallel::EnginePool;
-use spanner_graph::{CsrGraph, VertexId, WeightedGraph};
+use spanner_graph::{CsrGraph, KernelStats, VertexId, WeightedGraph};
 use spanner_metric::MetricSpace;
 
 use crate::bounded_degree::bounded_degree_spanner;
@@ -125,6 +125,9 @@ pub struct ApproxGreedySpanner {
     pub threads_used: usize,
     /// Mean busy fraction of the worker pool (1.0 when sequential).
     pub worker_utilization: f64,
+    /// Batched relax-kernel counters over every engine the simulation drove
+    /// (all zero when the scalar kernel ran throughout).
+    pub kernel: KernelStats,
 }
 
 /// The approximate-greedy engine behind the `ApproxGreedy` implementation of
@@ -178,6 +181,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
             batch_recheck_hits: 0,
             threads_used: reported_threads,
             worker_utilization: 1.0,
+            kernel: KernelStats::default(),
         });
     }
 
@@ -234,6 +238,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
             cluster_stats.queries += s.queries;
             cluster_stats.reuse_hits += s.reuse_hits;
             cluster_stats.peak_frontier = cluster_stats.peak_frontier.max(s.peak_frontier);
+            cluster_stats.kernel.merge(&s.kernel);
         } else if threads > 1 {
             let candidates: Vec<(u32, u32, f64)> = heavy[index..bucket_end]
                 .iter()
@@ -260,6 +265,8 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
     }
 
     let exact_stats = pool.stats();
+    let mut kernel = exact_stats.kernel;
+    kernel.merge(&cluster_stats.kernel);
     Ok(ApproxGreedySpanner {
         spanner: spanner.to_weighted_graph(),
         base,
@@ -274,6 +281,7 @@ pub(crate) fn run_approx_greedy<M: MetricSpace + ?Sized>(
         batch_recheck_hits,
         threads_used: reported_threads,
         worker_utilization: pool.utilization(),
+        kernel,
     })
 }
 

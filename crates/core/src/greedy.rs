@@ -146,8 +146,8 @@ impl GreedySpanner {
 
     /// Batched relax-kernel counters aggregated over every engine the
     /// construction drove; all-zero when the scalar kernel ran throughout
-    /// (short-row graphs under `Auto`, or the reference path, which has no
-    /// engine at all).
+    /// (cache-resident graphs under `Auto`, or the reference path, which has
+    /// no engine at all).
     pub fn kernel_stats(&self) -> KernelStats {
         self.kernel
     }

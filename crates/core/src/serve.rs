@@ -81,8 +81,9 @@
 //!   `dist`/`state` lanes ahead of use, and branchlessly compact the
 //!   surviving candidates before relaxing (see
 //!   [`spanner_graph::RelaxKernel`]). The default `Auto` policy batches
-//!   when rows are long enough to amortize staging or a live server has
-//!   pending deletions; [`ServeStats::kernel`] exposes the counters.
+//!   only spanners too large for their `dist`/`state` lanes to stay in
+//!   cache (about 350k vertices and up); [`ServeStats::kernel`] exposes
+//!   the counters.
 //!
 //! # Sharded builds
 //!
@@ -1561,10 +1562,11 @@ impl ServeBuilder {
     }
 
     /// Which relaxation kernel the serving engines run.
-    /// [`RelaxKernel::Auto`] (the default) batches whenever adjacency rows
-    /// are long enough to amortize staging or the served spanner has
-    /// pending deletions; answers, settle orders and search counters are
-    /// bit-identical at every setting — this is purely a speed knob.
+    /// [`RelaxKernel::Auto`] (the default) batches only when the served
+    /// spanner's `dist`/`state` lanes reach 4 MiB (about 350k vertices) and
+    /// runs the scalar loop on cache-resident spanners; answers, settle
+    /// orders and search counters are bit-identical at every setting — this
+    /// is purely a speed knob.
     pub fn relax_kernel(mut self, kernel: RelaxKernel) -> Self {
         self.relax_kernel = kernel;
         self

@@ -23,8 +23,9 @@
 //!   into a contiguous scratch ring, the `dist`/`state` lanes are
 //!   software-prefetched a fixed distance ahead, and candidates are
 //!   branchlessly compacted before the exact relax step — hiding the
-//!   dependent random-access load latency that dominates the scalar loop,
-//!   with answers, settle order and counters bit-identical to it.
+//!   dependent random-access load latency that dominates the scalar loop
+//!   once the lanes fall out of cache, with answers, settle order and
+//!   counters bit-identical to it.
 //!
 //! ```
 //! use spanner_graph::csr::CsrGraph;
@@ -76,10 +77,28 @@ const PREFETCH_DISTANCE: usize = 8;
 /// covers DRAM latency at commit throughput without outrunning L1.
 const EDGE_PREFETCH_AHEAD: usize = 6;
 
-/// [`RelaxKernel::Auto`] picks the batched kernel when the mean degree
-/// (`2m / n`) reaches this value; below it, rows are too short for the
-/// staging copy to pay for itself.
-const AUTO_KERNEL_MEAN_DEGREE: f64 = 3.0;
+/// [`RelaxKernel::Auto`] picks the batched kernel once a query graph's
+/// `dist`/`state` lanes — `n × (size_of::<f64>() + size_of::<u32>())` bytes
+/// — reach this size; below it the lanes stay cache-resident, there is
+/// little load latency for the prefetch pipeline to hide, and the staging
+/// copy is overhead. Measured with the `relax_kernel` bench's
+/// `BENCH_RELAX_N` sweep (128 mixed-bound queries on the ER-like graph,
+/// best-of-5, median of 3 runs, 2 vCPUs with 2 MiB of L2 each), batched
+/// over scalar was 0.84× at n = 50k (0.6 MB of lanes), 1.05× at 100k,
+/// 1.27× at 200k (2.4 MB), 1.27× at 500k, 1.44× at 1M (12 MB) and 1.43× at
+/// 4M. With every edge appended to an empty [`CsrGraph`] — the shape of a
+/// growing spanner, whose overflow rows the gather copies instead of
+/// borrowing — the same batch measured 0.78× at 50k, 0.94× at 200k, about
+/// parity at 500k and 1.18× at 1M. 4 MiB (about 350k vertices) sits
+/// between the two crossovers.
+const AUTO_KERNEL_LANE_BYTES: usize = 4 << 20;
+
+/// Whether [`RelaxKernel::Auto`] resolves to the batched kernel on a graph of
+/// `n` vertices: only once its lane bytes reach [`AUTO_KERNEL_LANE_BYTES`].
+fn auto_uses_batched(n: usize) -> bool {
+    n.saturating_mul(std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
+        >= AUTO_KERNEL_LANE_BYTES
+}
 
 /// Requests that the cache line holding `slice[index]` be pulled toward L1.
 /// Bounds-checked and side-effect-free: prefetching cannot fault, cannot
@@ -274,12 +293,11 @@ impl KernelStats {
 /// bit-identical under every setting — this is purely a performance choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RelaxKernel {
-    /// Pick per query: the batched kernel when adjacency rows are long
-    /// enough to amortize the staging copy (mean degree `2m/n ≥ 3`) or when
-    /// deletions are pending (the gather resolves liveness against the raw
-    /// tombstone bitmap instead of per-edge calls), the scalar loop
-    /// otherwise (short-row graphs, where staging overhead would exceed the
-    /// memory-latency win).
+    /// Pick per query graph by working-set size: the batched kernel once
+    /// the `dist`/`state` lanes (12 bytes per vertex) reach 4 MiB — about
+    /// 350k vertices, past which the prefetch pipeline hides real DRAM
+    /// latency — and the scalar loop below that, where the lanes stay in
+    /// cache and staging would be pure overhead.
     #[default]
     Auto,
     /// Always the scalar reference loop.
@@ -421,6 +439,9 @@ pub struct DijkstraEngine {
     /// Candidate indices (into the gather lanes) that survived the
     /// branchless filter of one row, awaiting the exact relax step.
     commit: Vec<u32>,
+    /// The edge count the engine was pre-sized for, kept so the batched
+    /// scratch can be reserved when [`RelaxKernel::Batched`] is pinned later.
+    reserved_edges: usize,
     relax_kernel: RelaxKernel,
     generation: u32,
     stats: EngineStats,
@@ -457,7 +478,11 @@ impl DijkstraEngine {
     /// query (each settled vertex relaxes each incident half-edge at most
     /// once). Such an engine performs **zero heap allocations on every
     /// query** — including the first — which is the contract the greedy
-    /// construction asserts through its workspace-reuse counter.
+    /// construction asserts through its workspace-reuse counter. The batched
+    /// kernel's scratch is reserved only when [`RelaxKernel::Auto`] would
+    /// batch on `num_vertices` vertices, or later by
+    /// [`DijkstraEngine::set_relax_kernel`] when the batched kernel is
+    /// pinned.
     pub fn with_capacity_for(num_vertices: usize, num_edges: usize) -> Self {
         let mut e = DijkstraEngine::new();
         e.grow(num_vertices);
@@ -465,32 +490,46 @@ impl DijkstraEngine {
         if e.h_scratch.capacity() < LANDMARK_SCRATCH_RESERVE {
             e.h_scratch.reserve_exact(LANDMARK_SCRATCH_RESERVE);
         }
-        // Batched-kernel scratch: a cohort stops accepting rows at
-        // GATHER_RING_CAP staged edges but the last row may overshoot by its
-        // own length, bounded by the longest adjacency row (≤ 2m half-edges).
-        let lane_cap = GATHER_RING_CAP + 2 * num_edges + 2;
-        if e.gather_targets.capacity() < lane_cap {
-            e.gather_targets.reserve_exact(lane_cap);
-        }
-        if e.gather_weights.capacity() < lane_cap {
-            e.gather_weights.reserve_exact(lane_cap);
-        }
-        if e.rows.capacity() < MAX_COHORT_ROWS + 1 {
-            e.rows.reserve_exact(MAX_COHORT_ROWS + 1);
-        }
-        // The commit buffer holds at most one row's candidates.
-        if e.commit.capacity() < 2 * num_edges + 2 {
-            e.commit.reserve_exact(2 * num_edges + 2);
+        e.reserved_edges = num_edges;
+        if auto_uses_batched(num_vertices) {
+            e.reserve_batched_scratch();
         }
         e
+    }
+
+    /// Reserves the batched kernel's scratch for the pre-sized edge count: a
+    /// cohort stops accepting rows at [`GATHER_RING_CAP`] staged edges but
+    /// the last row may overshoot by its own length, bounded by the longest
+    /// adjacency row (≤ 2m half-edges); the commit buffer holds at most one
+    /// row's candidates.
+    fn reserve_batched_scratch(&mut self) {
+        let row_cap = 2 * self.reserved_edges + 2;
+        let lane_cap = GATHER_RING_CAP + row_cap;
+        if self.gather_targets.capacity() < lane_cap {
+            self.gather_targets.reserve_exact(lane_cap);
+        }
+        if self.gather_weights.capacity() < lane_cap {
+            self.gather_weights.reserve_exact(lane_cap);
+        }
+        if self.rows.capacity() < MAX_COHORT_ROWS + 1 {
+            self.rows.reserve_exact(MAX_COHORT_ROWS + 1);
+        }
+        if self.commit.capacity() < row_cap {
+            self.commit.reserve_exact(row_cap);
+        }
     }
 
     /// Sets the relaxation-kernel policy for subsequent queries (default:
     /// [`RelaxKernel::Auto`]). Answers, settle order and every
     /// non-[`KernelStats`] counter are bit-identical under every setting;
-    /// this only trades constant factors.
+    /// this only trades constant factors. Pinning [`RelaxKernel::Batched`]
+    /// reserves the batched scratch for the size the engine was created
+    /// with, so a pre-sized engine stays allocation-free.
     pub fn set_relax_kernel(&mut self, kernel: RelaxKernel) {
         self.relax_kernel = kernel;
+        if kernel == RelaxKernel::Batched {
+            self.reserve_batched_scratch();
+        }
     }
 
     /// The current relaxation-kernel policy.
@@ -498,20 +537,13 @@ impl DijkstraEngine {
         self.relax_kernel
     }
 
-    /// Resolves [`RelaxKernel::Auto`] for one query on `graph`: batched
-    /// when deletions are pending (the gather's bitmap filter beats
-    /// per-edge liveness calls) or the mean degree reaches
-    /// [`AUTO_KERNEL_MEAN_DEGREE`] (rows long enough to amortize staging).
+    /// Resolves [`RelaxKernel::Auto`] for one query on `graph` by its
+    /// working-set size (see [`auto_uses_batched`]).
     fn use_batched_kernel(&self, graph: &CsrGraph) -> bool {
         match self.relax_kernel {
             RelaxKernel::Scalar => false,
             RelaxKernel::Batched => true,
-            RelaxKernel::Auto => {
-                let n = graph.num_vertices();
-                n > 0
-                    && (graph.has_pending_deletions()
-                        || 2.0 * graph.num_edges() as f64 >= AUTO_KERNEL_MEAN_DEGREE * n as f64)
-            }
+            RelaxKernel::Auto => auto_uses_batched(graph.num_vertices()),
         }
     }
 
@@ -2244,27 +2276,67 @@ mod tests {
     }
 
     #[test]
-    fn auto_kernel_stays_scalar_on_short_rows_and_flips_on_deletions() {
-        // A path graph's mean degree is < 2: Auto must keep the scalar loop.
-        let n = 12;
-        let g = WeightedGraph::from_edges(n, (1..n).map(|v| (v - 1, v, 1.0))).unwrap();
+    fn auto_kernel_stays_scalar_in_cache_and_flips_at_the_lane_byte_constant() {
+        // A dense in-cache graph: long rows, yet Auto keeps the scalar loop.
+        let mut rng = SmallRng::seed_from_u64(7_301);
+        let n = 40;
+        let mut g = WeightedGraph::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(0.5) {
+                    g.add_edge(VertexId(u), VertexId(v), rng.gen_range(0.5..4.0));
+                }
+            }
+        }
         let mut csr = CsrGraph::from(&g);
         let mut e = DijkstraEngine::new();
         assert_eq!(e.relax_kernel(), RelaxKernel::Auto);
         e.bounded_distance(&csr, VertexId(0), VertexId(n - 1), 100.0);
         assert_eq!(
-            e.stats().kernel.rows_batched,
-            0,
-            "Auto must pick the scalar loop on short-row graphs"
+            e.stats().kernel,
+            KernelStats::default(),
+            "Auto must pick the scalar loop on an in-cache graph"
         );
-        // Pending deletions flip Auto to the batched kernel (bitmap gather).
+        // Pending deletions do not flip it either.
         csr.remove_edge(crate::graph::EdgeId(0)).unwrap();
         assert!(csr.has_pending_deletions());
         e.bounded_distance(&csr, VertexId(1), VertexId(n - 1), 100.0);
-        assert!(
-            e.stats().kernel.rows_batched > 0,
-            "Auto must pick the batched kernel while deletions are pending"
+        e.ball(&csr, VertexId(2), 3.0);
+        assert_eq!(
+            e.stats().kernel,
+            KernelStats::default(),
+            "Auto must stay scalar in cache while deletions are pending"
         );
+        // The pure rule flips exactly where the lanes reach the constant.
+        let lane = std::mem::size_of::<f64>() + std::mem::size_of::<u32>();
+        let first_batched = AUTO_KERNEL_LANE_BYTES.div_ceil(lane);
+        assert!(!auto_uses_batched(0));
+        assert!(!auto_uses_batched(first_batched - 1));
+        assert!(auto_uses_batched(first_batched));
+        assert!(auto_uses_batched(usize::MAX));
+        assert!(!auto_uses_batched(200_000), "2.4 MB of lanes stay scalar");
+        assert!(auto_uses_batched(1_000_000), "12 MB of lanes batch");
+    }
+
+    #[test]
+    fn batched_scratch_is_reserved_only_when_batched_can_run() {
+        let small = DijkstraEngine::with_capacity_for(64, 200);
+        assert_eq!(
+            small.gather_capacity_signature(),
+            0,
+            "an in-cache Auto engine never touches the batched scratch"
+        );
+        let mut pinned = small.clone();
+        pinned.set_relax_kernel(RelaxKernel::Batched);
+        assert!(pinned.gather_targets.capacity() >= GATHER_RING_CAP + 2 * 200 + 2);
+        assert!(pinned.commit.capacity() >= 2 * 200 + 2);
+        assert!(pinned.rows.capacity() > MAX_COHORT_ROWS);
+        let mut scalar = small.clone();
+        scalar.set_relax_kernel(RelaxKernel::Scalar);
+        assert_eq!(scalar.gather_capacity_signature(), 0);
+        let lane = std::mem::size_of::<f64>() + std::mem::size_of::<u32>();
+        let big = DijkstraEngine::with_capacity_for(AUTO_KERNEL_LANE_BYTES.div_ceil(lane), 1);
+        assert!(big.gather_targets.capacity() >= GATHER_RING_CAP + 4);
     }
 
     #[test]

@@ -113,10 +113,10 @@
 //!   prefetched a few rows ahead, `state` lanes primed ahead of the filter —
 //!   branchlessly compact the surviving candidates into a commit buffer and
 //!   only then relax them. Under the default `Auto` policy the batched
-//!   kernel runs when rows are long enough to amortize staging (mean degree
-//!   ≥ 3) or deletions are pending (the bitmap gather beats per-edge
-//!   liveness calls); every answer, settle order and counter stays
-//!   bit-identical to the scalar reference path.
+//!   kernel runs only once a query graph's `dist`/`state` lanes reach
+//!   4 MiB (about 350k vertices), where it has DRAM latency to hide; in
+//!   cache the scalar loop is faster. Every answer, settle order and
+//!   counter stays bit-identical to the scalar reference path.
 
 // `deny` rather than `forbid`: the batched relax kernel's bounds-checked
 // `_mm_prefetch` helper in `engine` carries the crate's only `unsafe` block
